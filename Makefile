@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race check bench agg-bench bench-sched bench-wire bench-kv wire-smoke kv-smoke sched-stress trace-smoke watchdog-smoke fault-stress bench-allocs taskbench-smoke bench-taskbench bench-gate bench-gate-run bench-baseline lint
+.PHONY: build vet test race check bench agg-bench bench-sched bench-wire bench-kv wire-smoke kv-smoke sched-stress trace-smoke watchdog-smoke fault-stress bench-allocs taskbench-smoke bench-taskbench bench-gate bench-gate-run bench-baseline benchmark-test lint
 
 build:
 	$(GO) build ./...
@@ -75,8 +75,13 @@ kv-smoke:
 	@grep -q -- '--- PASS: TestKVSmokeFaultedLedgerExact' /tmp/kv-smoke.out || \
 		{ echo "check: TestKVSmokeFaultedLedgerExact did not run/pass" >&2; exit 1; }
 
+# The repo benchmark (benchmark/) is a nested module, so the root
+# `go test ./...` does not reach its tests; run them from inside it.
+benchmark-test:
+	cd benchmark && $(GO) test -count=1 ./...
+
 # Tier-1 gate: everything that must stay green before a change lands.
-check: build vet race sched-stress taskbench-smoke fault-stress wire-smoke kv-smoke trace-smoke watchdog-smoke bench-allocs
+check: build vet race sched-stress taskbench-smoke fault-stress wire-smoke kv-smoke trace-smoke watchdog-smoke bench-allocs benchmark-test
 
 # Lint gate (CI `lint` job): formatting must be canonical and vet clean.
 lint:

@@ -63,7 +63,6 @@ func main() {
 		tbProcs    = fs.String("procs", "", "taskbench: comma-separated GOMAXPROCS sweep (default 1,2,N)")
 		tbPatterns = fs.String("patterns", "", "taskbench: pattern subset (default all five)")
 		tbReps     = fs.Int("reps", 0, "taskbench: timed reps per cell, best-of (default 3)")
-		tbTune     = fs.Bool("tune", false, "taskbench: run the scheduler-knob sweeps instead of the matrix")
 	)
 	if len(os.Args) < 2 {
 		usage()
@@ -154,9 +153,6 @@ func main() {
 			}
 			return bench.RunKV(kcfg, os.Stdout)
 		case "taskbench":
-			if *tbTune {
-				return bench.RunTaskBenchTune(*seed, os.Stdout)
-			}
 			pats, err := bench.ParsePatterns(*tbPatterns)
 			if err != nil {
 				return err

@@ -9,7 +9,6 @@ import (
 	"repro/internal/scheduler"
 	"repro/internal/serde"
 	"repro/internal/telemetry"
-	"repro/internal/tuning"
 )
 
 // Operation aggregation layer (§IV-B / Fig. 5): element ops on
@@ -124,14 +123,16 @@ type aggShard[T serde.Number] struct {
 // destination team rank, plus a recycle pool so steady-state traffic
 // reuses batch column storage instead of reallocating it per flush.
 type aggregator[T serde.Number] struct {
-	st      *sharedState[T]
-	w       *runtime.World
-	team    *runtime.Team
-	knobs   *tuning.Atomics // live flush thresholds (AggBufSize/AggFlushOps)
-	elemSz  int
-	flushFn func() // FlushBatches method value, bound once (await hooks)
-	shards  []aggShard[T]
-	spares  sync.Pool // *aggBatch[T]
+	st     *sharedState[T]
+	w      *runtime.World
+	team   *runtime.Team
+	elemSz int
+	// Flush thresholds, Config.AggBufSize and Config.AggFlushOps.
+	bufSize  int
+	flushOps int
+	flushFn  func() // FlushBatches method value, bound once (await hooks)
+	shards   []aggShard[T]
+	spares   sync.Pool // *aggBatch[T]
 
 	// Shared completion state for fire-and-forget scalar ops: every such
 	// op bumps pending and hands the caller sharedF, a reusable condition
@@ -158,13 +159,15 @@ func (c *core[T]) agg() *aggregator[T] {
 	if g := s.aggPtrs[me].Load(); g != nil {
 		return g
 	}
+	cfg := c.w.Config()
 	g := &aggregator[T]{
-		st:     s,
-		w:      c.w,
-		team:   c.team,
-		knobs:  c.w.TuneKnobs(),
-		elemSz: serde.SizeOf[T](),
-		shards: make([]aggShard[T], c.team.Size()),
+		st:       s,
+		w:        c.w,
+		team:     c.team,
+		elemSz:   serde.SizeOf[T](),
+		bufSize:  cfg.AggBufSize,
+		flushOps: cfg.AggFlushOps,
+		shards:   make([]aggShard[T], c.team.Size()),
 	}
 	g.spares.New = func() any {
 		b := new(aggBatch[T])
@@ -239,7 +242,7 @@ func (g *aggregator[T]) FlushBatches() {
 // launch (aggregated destinations are always remote), so nothing else
 // references its column storage afterwards.
 func (g *aggregator[T]) dispatch(rank int, b *aggBatch[T], reason telemetry.FlushReason) {
-	g.w.CountAggFlush(reason, b.nops, b.bytes)
+	g.w.CountAggFlush(reason, b.nops)
 	if tc := telemetry.C(); tc != nil && b.openNs > 0 {
 		now := tc.Now()
 		dur := now - b.openNs
@@ -338,10 +341,10 @@ func (g *aggregator[T]) append(rank int, op Op, local, n int, broadcast bool,
 	b.bytes += aggEntryOverhead + nv*elemSz
 	var detached *aggBatch[T]
 	reason := telemetry.FlushSize
-	if b.nops >= int(g.knobs.AggFlushOps.Load()) {
+	if b.nops >= g.flushOps {
 		detached, reason = b, telemetry.FlushOps
 		sh.b = nil
-	} else if b.bytes >= int(g.knobs.AggBufSize.Load()) {
+	} else if b.bytes >= g.bufSize {
 		detached = b
 		sh.b = nil
 	}
@@ -369,7 +372,7 @@ func (g *aggregator[T]) dispatchRun(rank int, op Op, local, n int,
 	if b != nil {
 		g.dispatch(rank, b, telemetry.FlushDrain)
 	}
-	g.w.CountAggFlush(telemetry.FlushRun, n, aggEntryOverhead+n*g.elemSz)
+	g.w.CountAggFlush(telemetry.FlushRun, n)
 	flags := uint8(op)
 	if eout != nil {
 		flags |= entryFetch
@@ -413,8 +416,6 @@ func (c *core[T]) aggSubmit(op Op, fetch bool, idxs []int, vals, casOld []T) *sc
 	geom := c.st.geom
 	broadcast := len(vals) <= 1 && op != OpLoad
 	elemSz := serde.SizeOf[T]()
-	flushO := int(g.knobs.AggFlushOps.Load())
-	flushB := int(g.knobs.AggBufSize.Load())
 	mergeRuns := geom.dist == Block || geom.npes == 1
 	i := 0
 	for i < len(idxs) {
@@ -460,7 +461,7 @@ func (c *core[T]) aggSubmit(op Op, fetch bool, idxs []int, vals, casOld []T) *sc
 			// Owner-local run: apply immediately, no buffering.
 			cd.Add(1)
 			cd.Done(c.st.applyAggRun(me, rank, op, local, n, evals, ecas, eout))
-		} else if op != OpCAS && !broadcast && (n >= flushO || n*elemSz >= flushB) {
+		} else if op != OpCAS && !broadcast && (n >= g.flushOps || n*elemSz >= g.bufSize) {
 			g.dispatchRun(rank, op, local, n, evals, eout, cd)
 		} else {
 			g.append(rank, op, local, n, broadcast, evals, ecas, eout, cd, elemSz)

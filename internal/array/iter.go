@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/envknob"
 	"repro/internal/scheduler"
 	"repro/internal/serde"
 )
@@ -78,34 +77,10 @@ type poolIface interface {
 
 // chunkTasksPerWorker is the adaptive-chunk split target: parallel
 // terminals aim for this many chunks per worker so work stealing can
-// absorb skew from uneven filters and slow workers. A measured knob
-// (ISSUE 9): the Task Bench matrix sweeps it — see bench_results.txt
-// §TASKBENCH. Override with LAMELLAR_CHUNK_FACTOR or
-// SetChunkTasksPerWorker; WithChunk still overrides per iterator.
-var chunkTasksPerWorker atomic.Int32
-
-const defaultChunkTasksPerWorker = 4
-
-func init() {
-	chunkTasksPerWorker.Store(int32(envknob.Int(
-		"LAMELLAR_CHUNK_FACTOR", defaultChunkTasksPerWorker, 1, 256)))
-}
-
-// SetChunkTasksPerWorker sets the chunks-per-worker split target
-// (clamped to [1, 256]) used by adaptiveChunk for iterators built
-// afterwards.
-func SetChunkTasksPerWorker(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > 256 {
-		n = 256
-	}
-	chunkTasksPerWorker.Store(int32(n))
-}
-
-// ChunkTasksPerWorker reports the current chunks-per-worker target.
-func ChunkTasksPerWorker() int { return int(chunkTasksPerWorker.Load()) }
+// absorb skew from uneven filters and slow workers. The Task Bench
+// sweeps (bench_results.txt §TASKBENCH) found no stable optimum, so it
+// is a constant; WithChunk overrides it per iterator.
+const chunkTasksPerWorker = 4
 
 // adaptiveChunk picks the default elements-per-task for parallel
 // terminals: enough chunks to give every worker ~chunkTasksPerWorker
@@ -116,7 +91,7 @@ func adaptiveChunk(n, workers int) int {
 	if workers < 1 {
 		workers = 1
 	}
-	c := n / (workers * int(chunkTasksPerWorker.Load()))
+	c := n / (workers * chunkTasksPerWorker)
 	if c < 64 {
 		c = 64
 	}

@@ -9,9 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/array"
 	"repro/internal/runtime"
-	"repro/internal/scheduler"
 	"repro/internal/serde"
 )
 
@@ -570,102 +568,6 @@ func RunTaskBench(cfg TaskBenchConfig, out io.Writer) error {
 		table.RenderCSV(out)
 	}
 	return nil
-}
-
-// ----- scheduler-knob tuning sweeps ------------------------------------------
-
-// RunTaskBenchTune closes the scheduler-tuning loop (ISSUE 9): it sweeps
-// the three measured knobs over representative Task Bench cells and
-// prints per-value throughput, so the defaults in internal/scheduler and
-// internal/array are chosen from data rather than guessed. Knobs are
-// restored to their entry values afterwards.
-//
-// Sweeps (all at GOMAXPROCS=4, where contention exists to relieve):
-//
-//	steal batch      random pattern, 1µs grain — steal-heavy, fine-grained
-//	injector shards  random pattern, 1µs grain, 8 workers/PE — submit-heavy
-//	chunk factor     DistIter ForEach over 1<<15 elements, ~1µs bodies
-func RunTaskBenchTune(seed int64, out io.Writer) error {
-	if seed == 0 {
-		seed = 0x7B
-	}
-	rate := calibrateSpin()
-	prevProcs := stdruntime.GOMAXPROCS(0)
-	stdruntime.GOMAXPROCS(4)
-	defer stdruntime.GOMAXPROCS(prevProcs)
-
-	g, err := buildTaskGraph("random", 256, 16, seed)
-	if err != nil {
-		return err
-	}
-	run := func(workers int) (float64, error) {
-		res, err := runTaskCell(g, time.Microsecond, 2, workers, 3, rate)
-		if err != nil {
-			return 0, err
-		}
-		return float64(g.total) / res.wall.Seconds() / 1e3, nil
-	}
-
-	fmt.Fprintln(out, "TUNE steal batch (random/1us/p4, 2x2):")
-	oldSteal := scheduler.StealBatch()
-	for _, b := range []int{4, 8, 16, 32, 64, 128} {
-		scheduler.SetStealBatch(b)
-		ktps, err := run(2)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "  steal_batch=%-4d %9.1f ktasks/s\n", b, ktps)
-	}
-	scheduler.SetStealBatch(oldSteal)
-
-	fmt.Fprintln(out, "TUNE injector shard cap (random/1us/p4, 2x8):")
-	oldShards := scheduler.InjectorShardCap()
-	for _, s := range []int{1, 2, 4, 8, 16} {
-		scheduler.SetInjectorShardCap(s)
-		ktps, err := run(8)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "  inj_shards=%-4d %9.1f ktasks/s\n", s, ktps)
-	}
-	scheduler.SetInjectorShardCap(oldShards)
-
-	fmt.Fprintln(out, "TUNE iterator chunk factor (DistIter ForEach, 1<<15 elems, ~1us body, 2x4):")
-	oldChunk := array.ChunkTasksPerWorker()
-	spin := spinItersFor(time.Microsecond, rate)
-	for _, f := range []int{1, 2, 4, 8, 16, 32} {
-		array.SetChunkTasksPerWorker(f)
-		wall, err := runIterCell(spin)
-		if err != nil {
-			return err
-		}
-		const elems = 1 << 15
-		fmt.Fprintf(out, "  chunk_factor=%-3d %9.1f kelems/s\n", f,
-			float64(elems)/wall.Seconds()/1e3)
-	}
-	array.SetChunkTasksPerWorker(oldChunk)
-	return nil
-}
-
-// runIterCell times one DistIter ForEach pass (best of 3) with the
-// current chunk factor.
-func runIterCell(spinIters int64) (time.Duration, error) {
-	var best time.Duration
-	err := runtime.Run(runtime.Config{PEs: 2, WorkersPerPE: 4, Lamellae: runtime.LamellaeShmem}, func(w *runtime.World) {
-		a := array.NewAtomicArray[uint64](w.Team(), 1<<15, array.Block)
-		for rep := 0; rep < 3; rep++ {
-			w.Barrier()
-			start := time.Now()
-			if _, err := a.DistIter().ForEach(func(uint64) { spinKernel(spinIters) }).Await(); err != nil {
-				panic(err)
-			}
-			w.Barrier()
-			if el := time.Since(start); w.MyPE() == 0 && (best == 0 || el < best) {
-				best = el
-			}
-		}
-	})
-	return best, err
 }
 
 // ParsePatterns validates a comma-separated pattern subset.

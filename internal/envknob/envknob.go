@@ -1,9 +1,9 @@
 // Package envknob centralizes LAMELLAR_* environment-knob parsing.
 //
 // Before it existed every package rolled its own reader and most of them
-// silently ignored malformed values — a typo'd LAMELLAR_STEAL_BATCH=1o
-// fell back to the default with no signal, which in a tuning run reads as
-// "the knob made no difference". Every helper here routes parse failures
+// silently ignored malformed values — a typo'd LAMELLAR_WATCHDOG_MS=1o
+// fell back to the default with no signal, which in a benchmark run reads
+// as "the knob made no difference". Every helper here routes parse failures
 // through the diag logger as warnings instead, and boolean knobs accept
 // one spelling set everywhere (LAMELLAR_TRACE used to take 1/true while
 // LAMELLAR_SLAB_CHECK took only "1").
@@ -74,27 +74,4 @@ func Bool(name string, def bool) bool {
 		return v
 	}
 	return def
-}
-
-// Int reads an integer knob clamped to [lo, hi]; unset or malformed
-// values select def. An in-principle-valid value outside the range is
-// clamped with a warning — the caller asked for a bound, so honoring the
-// raw value would be wrong, but doing so silently hides the adjustment.
-func Int(name string, def, lo, hi int) int {
-	v, ok := LookupInt(name)
-	if !ok {
-		return def
-	}
-	if v < lo || v > hi {
-		c := v
-		if c < lo {
-			c = lo
-		}
-		if c > hi {
-			c = hi
-		}
-		diag.Warnf(component, "clamping %s=%d to %d (valid range [%d, %d])", name, v, c, lo, hi)
-		return c
-	}
-	return v
 }

@@ -107,21 +107,3 @@ func TestBoolDefault(t *testing.T) {
 		}
 	})
 }
-
-func TestIntClampWarns(t *testing.T) {
-	t.Setenv("LAMELLAR_TEST_KNOB", "5000")
-	out := captureWarnings(t, func() {
-		if v := Int("LAMELLAR_TEST_KNOB", 32, 1, 1024); v != 1024 {
-			t.Errorf("out-of-range value clamped to %d, want 1024", v)
-		}
-	})
-	if !strings.Contains(out, "clamping") {
-		t.Errorf("no clamp warning; got %q", out)
-	}
-	t.Setenv("LAMELLAR_TEST_KNOB", "1o")
-	captureWarnings(t, func() {
-		if v := Int("LAMELLAR_TEST_KNOB", 32, 1, 1024); v != 32 {
-			t.Errorf("malformed value selected %d, want default 32", v)
-		}
-	})
-}

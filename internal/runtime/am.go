@@ -190,7 +190,7 @@ func (w *World) execAMCallbackFrom(pe int, am ActiveMessage, cb func(any, error)
 	req := w.nextReq.Add(1)
 	sp := newSpan(parent)
 	// The issue is stamped unconditionally: resolution feeds the always-on
-	// flight recorder's round-trip digest (tuner + watchdog input), not
+	// flight recorder's round-trip digest (watchdog input), not
 	// just a live telemetry session. One monotonic clock read per
 	// return-style AM; fire-and-forget AMs pay nothing.
 	issueNs := telemetry.MonoNow()
@@ -282,8 +282,7 @@ func (w *World) launchSpan(pe int, am ActiveMessage, req uint64, sp, parent tele
 func (w *World) enqueueAM(pe int, req uint64, am ActiveMessage, sp telemetry.SpanContext) {
 	w.envSent.Add(1)
 	q := w.queues[pe]
-	cfg := w.env.cfg
-	threshold := int(w.env.knobs.AggThresholdBytes.Load())
+	cfg := &w.env.cfg
 	var tc *telemetry.Collector
 	var t0 int64
 	if telemetry.Enabled() {
@@ -320,7 +319,7 @@ func (w *World) enqueueAM(pe int, req uint64, am ActiveMessage, sp telemetry.Spa
 	}
 	binary.LittleEndian.PutUint32(q.enc.Bytes()[mark:], uint32(q.enc.Len()-bodyStart))
 	q.count++
-	bySize := q.enc.Len() >= threshold
+	bySize := q.enc.Len() >= cfg.AggThresholdBytes
 	full := bySize || (cfg.AggMaxOps > 0 && q.count >= cfg.AggMaxOps)
 	var out *serde.Encoder
 	var envs int
@@ -355,7 +354,6 @@ func (w *World) enqueueAM(pe int, req uint64, am ActiveMessage, sp telemetry.Spa
 // behind the reliability layer, which always accepts the frame (failures
 // surface later through retry exhaustion, never here).
 func (w *World) sendBatch(dst int, batch []byte) {
-	w.batchBytes.Add(uint64(len(batch)))
 	if err := w.env.lam.send(w.pe, dst, batch); err != nil {
 		diag.Errorf("am", "PE%d: send to PE%d failed: %v", w.pe, dst, err)
 	}
@@ -440,8 +438,7 @@ func (w *World) resolveReturn(src int, req uint64, v any, err error) {
 func (w *World) enqueue(dst int, body []byte) {
 	w.envSent.Add(1)
 	q := w.queues[dst]
-	cfg := w.env.cfg
-	threshold := int(w.env.knobs.AggThresholdBytes.Load())
+	cfg := &w.env.cfg
 	var tc *telemetry.Collector
 	var t0 int64
 	if telemetry.Enabled() {
@@ -464,7 +461,7 @@ func (w *World) enqueue(dst int, body []byte) {
 	q.enc.Align(8)
 	q.enc.PutRawBytes(body)
 	q.count++
-	bySize := q.enc.Len() >= threshold
+	bySize := q.enc.Len() >= cfg.AggThresholdBytes
 	full := bySize || (cfg.AggMaxOps > 0 && q.count >= cfg.AggMaxOps)
 	var out *serde.Encoder
 	var envs int
@@ -490,7 +487,7 @@ func (w *World) enqueue(dst int, body []byte) {
 
 // noteBatchFlush records one wire batch leaving this PE: always counted
 // for Stats and recorded into the flight recorder's batch-age digest
-// (tuner input in every mode), and — when a telemetry session is active
+// (diag dump input), and — when a telemetry session is active
 // — emitted as an agg.flush span covering the queue's open→flush age,
 // which also feeds the session's flush-interval histogram.
 func (w *World) noteBatchFlush(dst int, reason telemetry.FlushReason, envs int, openNs int64, tc *telemetry.Collector) {

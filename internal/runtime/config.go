@@ -8,7 +8,6 @@ package runtime
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/fabric"
@@ -111,13 +110,6 @@ type Config struct {
 	// TraceRingCap overrides the per-PE telemetry event-ring capacity
 	// (rounded up to a power of two; 0 selects the 65536 default).
 	TraceRingCap int
-	// TuneMode selects the adaptive-tuning controller mode: "off" (static
-	// knobs, the default), "observe" (decisions emitted as telemetry but
-	// not applied), or "on" (aggregation thresholds and the retransmission
-	// floor adjust online from flush-reason counters, latency histograms,
-	// and wire retry rates). Empty reads LAMELLAR_TUNE from the
-	// environment.
-	TuneMode string
 	// WatchdogInterval is the stall-watchdog sampling period. 0 selects
 	// the default (250ms, or LAMELLAR_WATCHDOG_MS when set); negative
 	// disables the watchdog entirely.
@@ -215,11 +207,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DeliveryTimeout == 0 {
 		c.DeliveryTimeout = 20 * time.Second
-	}
-	if c.TuneMode == "" {
-		// LAMELLAR_TUNE applies process-wide (like the fault knobs) so the
-		// benchmark matrix can A/B the controller without editing Configs.
-		c.TuneMode = os.Getenv("LAMELLAR_TUNE")
 	}
 	if c.WatchdogInterval == 0 {
 		c.WatchdogInterval = 250 * time.Millisecond

@@ -10,7 +10,6 @@ import (
 	"repro/internal/diag"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/recorder"
-	"repro/internal/tuning"
 )
 
 // Diagnostic dumps: every live world can render a structured JSON
@@ -64,7 +63,6 @@ type PEDiag struct {
 type DiagSnapshot struct {
 	PEs      int               `json:"pes"`
 	Lamellae LamellaeKind      `json:"lamellae"`
-	TuneMode string            `json:"tune_mode"`
 	Recorder recorder.Snapshot `json:"recorder"`
 	Worlds   []PEDiag          `json:"worlds"`
 }
@@ -92,7 +90,6 @@ func (env *worldEnv) diagSnapshot() DiagSnapshot {
 	snap := DiagSnapshot{
 		PEs:      env.cfg.PEs,
 		Lamellae: env.cfg.Lamellae,
-		TuneMode: tuning.ParseMode(env.cfg.TuneMode).String(),
 		Recorder: env.rec.Snapshot(),
 		Worlds:   make([]PEDiag, len(env.worlds)),
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/recorder"
 )
 
 // Trace context must survive the reliable wire's retransmit/dedup
@@ -153,10 +154,10 @@ func TestWatchdogDetectsPartitionStall(t *testing.T) {
 	}
 }
 
-// The adaptive controller must see latency digests with NO telemetry
-// session: the always-on flight recorder supplies round-trip and
-// batch-age summaries in every LAMELLAR_TUNE mode.
-func TestTunerConsumesRecorderDigests(t *testing.T) {
+// The always-on flight recorder must fill its round-trip and batch-age
+// digests with NO telemetry session: the watchdog and diag dumps read
+// them in every run.
+func TestRecorderDigestsWithoutSession(t *testing.T) {
 	if telemetry.Enabled() {
 		t.Fatal("test requires no live telemetry session")
 	}
@@ -172,12 +173,12 @@ func TestTunerConsumesRecorderDigests(t *testing.T) {
 		}
 		w.Barrier()
 		if w.MyPE() == 0 {
-			sample := w.env.buildSample(tuneSnap{}, w.env.tuneSnapshot(), time.Second)
-			if sample.RoundTrip.Count == 0 || sample.RoundTrip.P90 <= 0 {
-				panic("tuning sample has no round-trip digest without a telemetry session")
+			p := w.env.rec.PE(0)
+			if s := p.Hist(recorder.HistRoundTrip).Summary(); s.Count == 0 || s.P90 <= 0 {
+				panic("recorder has no round-trip digest without a telemetry session")
 			}
-			if sample.FlushAge.Count == 0 {
-				panic("tuning sample has no flush-age digest without a telemetry session")
+			if p.Hist(recorder.HistBatchAge).Summary().Count == 0 {
+				panic("recorder has no batch-age digest without a telemetry session")
 			}
 		}
 		w.Barrier()

@@ -270,11 +270,6 @@ type relLamellae struct {
 	retryInterval time.Duration
 	backoffMax    time.Duration
 	deliveryTO    time.Duration // <= 0: never give up
-	// retryFloor, when non-nil, is the live retransmission floor (ns) the
-	// adaptive tuning controller adjusts; nil or zero falls back to the
-	// configured retryInterval. It seeds the RTO for streams with no RTT
-	// samples yet — measured streams use their own estimator.
-	retryFloor *atomic.Int64
 
 	// Flow-control configuration (Config.Wire*, env LAMELLAR_WIRE_*).
 	windowFrames int   // frame-window cap; <= 0 disables windowing
@@ -283,10 +278,6 @@ type relLamellae struct {
 	ackHoldoffNs int64 // coalesce: or after this holdoff, whichever first
 	oooWindow    uint64
 	rtoMinNs     int64
-	// capFrames/capBytes, when non-nil, are the live window caps the
-	// adaptive tuning controller adjusts (LAMELLAR_TUNE=on).
-	capFrames *atomic.Int64
-	capBytes  *atomic.Int64
 
 	// rec, when non-nil, receives wire round-trip samples (HistWireRTT)
 	// and seeds cold streams' RTO from the recorded digest.
@@ -362,31 +353,13 @@ func (r *relLamellae) start(inner lamellae) {
 
 func (r *relLamellae) name() LamellaeKind { return r.inner.name() }
 
-// windowCaps reports the live (frames, bytes) window caps: the tuner's
-// cells when installed, the static configuration otherwise. Zero frames
-// means windowing is disabled.
+// windowCaps reports the configured (frames, bytes) window caps, floored
+// at the minimum window. Zero frames means windowing is disabled.
 func (r *relLamellae) windowCaps() (capF, capB int) {
-	capF, capB = r.windowFrames, r.windowBytes
-	if capF <= 0 {
+	if r.windowFrames <= 0 {
 		return 0, 0
 	}
-	if r.capFrames != nil {
-		if v := r.capFrames.Load(); v > 0 {
-			capF = int(v)
-		}
-	}
-	if r.capBytes != nil {
-		if v := r.capBytes.Load(); v > 0 {
-			capB = int(v)
-		}
-	}
-	if capF < minWindowFrames {
-		capF = minWindowFrames
-	}
-	if capB < minWindowBytes {
-		capB = minWindowBytes
-	}
-	return capF, capB
+	return max(r.windowFrames, minWindowFrames), max(r.windowBytes, minWindowBytes)
 }
 
 // admitLocked reports whether one more frame of frameLen bytes fits the
@@ -447,7 +420,7 @@ func (r *relLamellae) rtoFor(p *relPair, src int) int64 {
 			return rto
 		}
 	}
-	return int64(r.floorNow())
+	return r.retryInterval.Nanoseconds()
 }
 
 // send frames msg, retains it for retransmission, and transmits — or, when
@@ -597,17 +570,6 @@ func (r *relLamellae) maxRTO(src int) int64 {
 		}
 	}
 	return max
-}
-
-// floorNow reports the static initial retransmission timeout used before
-// a stream has RTT samples.
-func (r *relLamellae) floorNow() time.Duration {
-	if r.retryFloor != nil {
-		if ns := r.retryFloor.Load(); ns > 0 {
-			return time.Duration(ns)
-		}
-	}
-	return r.retryInterval
 }
 
 // releaseFrame recycles one retained frame: slab buffer back to its size

@@ -33,7 +33,7 @@ func newSendWindow(min, max int) sendWindow {
 }
 
 // onAck credits n cleanly acknowledged frames, growing the window up to
-// max (the live cap; it may move between calls when the tuner adjusts it).
+// max (the configured frame cap).
 func (w *sendWindow) onAck(n, max int) {
 	for i := 0; i < n; i++ {
 		if w.cwnd >= max {
@@ -81,17 +81,6 @@ func (w *sendWindow) onLoss(seq, nextSeq uint64) bool {
 	w.credit = 0
 	w.recoverSeq = nextSeq
 	return true
-}
-
-// clamp bounds the window by the live cap (the tuner can shrink it below
-// the current cwnd between decisions).
-func (w *sendWindow) clamp(max int) {
-	if w.cwnd > max {
-		w.cwnd = max
-	}
-	if w.cwnd < w.min {
-		w.cwnd = w.min
-	}
 }
 
 // rttEstimator is the standard Jacobson/Karels smoothed round-trip

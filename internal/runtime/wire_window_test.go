@@ -102,16 +102,10 @@ func TestSendWindowFloorAndClamp(t *testing.T) {
 	if w.cwnd != 8 {
 		t.Fatalf("cwnd under repeated loss = %d, want floor 8", w.cwnd)
 	}
-	// The tuner can shrink the cap below the live cwnd; clamp obeys both
-	// the cap and the floor.
-	w.onAck(100, 256)
-	w.clamp(16)
+	// Acks grow the window up to the cap and no further.
+	w.onAck(1000, 16)
 	if w.cwnd != 16 {
-		t.Fatalf("cwnd after clamp(16) = %d, want 16", w.cwnd)
-	}
-	w.clamp(1) // below the floor: floor wins
-	if w.cwnd != 8 {
-		t.Fatalf("cwnd after clamp(1) = %d, want floor 8", w.cwnd)
+		t.Fatalf("cwnd after acks under cap 16 = %d, want 16", w.cwnd)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"repro/internal/slab"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/recorder"
-	"repro/internal/tuning"
 )
 
 // worldEnv is the state shared by all PEs of one world (one simulated job).
@@ -39,17 +38,10 @@ type worldEnv struct {
 	teleOwned bool                 // this world started the session
 
 	// rec is the always-on flight recorder: per-PE digests that feed the
-	// tuner, the watchdog, and diagnostic dumps in every mode.
+	// watchdog, the wire's cold-stream RTO, and diagnostic dumps.
 	rec *recorder.Recorder
 	// dog is the stall watchdog sampler (nil when disabled).
 	dog *watchdog
-
-	// Adaptive tuning (internal/tuning): live knob cells read by the hot
-	// paths, the controller mode, and the clamp limits. With the
-	// controller off the cells hold the configured values forever.
-	knobs    tuning.Atomics
-	tuneMode tuning.Mode
-	tuneLim  tuning.Limits
 }
 
 type collEntry struct {
@@ -91,7 +83,6 @@ type World struct {
 	// Wire-batch accounting: batches this PE put on the wire and why
 	// each one flushed (size threshold, op cap, drain cycle, timer).
 	batchesSent  atomic.Uint64
-	batchBytes   atomic.Uint64
 	batchReasons [telemetry.NumFlushReasons]atomic.Uint64
 
 	// Array-op aggregation accounting, bumped by the array layer through
@@ -99,7 +90,6 @@ type World struct {
 	// them, and per-reason flush counts.
 	aggBatches atomic.Uint64
 	aggOps     atomic.Uint64
-	aggBytes   atomic.Uint64
 	aggReasons [telemetry.NumFlushReasons]atomic.Uint64
 
 	flushHookMu sync.Mutex
@@ -113,10 +103,9 @@ type World struct {
 
 // retEntry is one outstanding request awaiting a return envelope: the
 // completion callback plus the issue timestamp (monotonic clock) that
-// feeds the round-trip digests — and through them the adaptive
-// retransmission floor and the watchdog's stall threshold. span and dst
-// let the watchdog name the oldest outstanding ops and the telemetry
-// exporter close the causal flow.
+// feeds the round-trip digests — and through them the watchdog's stall
+// threshold. span and dst let the watchdog name the oldest outstanding
+// ops and the telemetry exporter close the causal flow.
 type retEntry struct {
 	cb      func(any, error)
 	issueNs int64
@@ -127,20 +116,12 @@ type retEntry struct {
 // ctx returns the PE's pre-built decode context for messages from src.
 func (w *World) ctx(src int) *Context { return &w.ctxs[src] }
 
-// TuneKnobs exposes the live tuned-knob cells. Higher layers (the array
-// aggregator) read their thresholds from here; the cells hold the
-// configured values unless the adaptive controller is on.
-func (w *World) TuneKnobs() *tuning.Atomics { return &w.env.knobs }
-
 // CountAggFlush records one array-op aggregation buffer dispatch for
-// Stats: why it flushed, how many coalesced element ops it carried, and
-// roughly how many payload bytes. The byte count lets the adaptive
-// controller floor its shrink decisions at the observed batch size. The
-// array layer calls this on every buffer it ships.
-func (w *World) CountAggFlush(reason telemetry.FlushReason, ops, bytes int) {
+// Stats: why it flushed and how many coalesced element ops it carried.
+// The array layer calls this on every buffer it ships.
+func (w *World) CountAggFlush(reason telemetry.FlushReason, ops int) {
 	w.aggBatches.Add(1)
 	w.aggOps.Add(uint64(ops))
-	w.aggBytes.Add(uint64(bytes))
 	if int(reason) < len(w.aggReasons) {
 		w.aggReasons[reason].Add(1)
 	}
@@ -264,20 +245,6 @@ func newEnv(cfg Config) (*worldEnv, error) {
 		coll:      make(map[string]*collEntry),
 		stopFlush: make(chan struct{}),
 	}
-	env.tuneMode = tuning.ParseMode(cfg.TuneMode)
-	base := tuning.Knobs{
-		AggThresholdBytes: cfg.AggThresholdBytes,
-		AggBufSize:        cfg.AggBufSize,
-		AggFlushOps:       cfg.AggFlushOps,
-		RetryFloor:        cfg.RetryInterval,
-		WireWindowFrames:  cfg.WireWindowFrames,
-		WireWindowBytes:   cfg.WireWindowBytes,
-	}
-	if base.WireWindowFrames < 0 {
-		base.WireWindowFrames = 0 // windowing disabled: the tuner leaves it off
-	}
-	env.tuneLim = tuning.DefaultLimits(base, cfg.RetryBackoffMax)
-	env.knobs.Store(base)
 	if cfg.Telemetry {
 		// Start (or join) the process-global telemetry session before any
 		// pool exists so no event is lost to a disabled gate.
@@ -333,16 +300,6 @@ func newEnv(cfg Config) (*worldEnv, error) {
 				return nil, err
 			}
 		}
-		if env.tuneMode == tuning.ModeOn {
-			// Only the applying controller redirects the retransmission
-			// floor through the knob cell: off/observe keep the wire layer
-			// byte-for-byte on its static configuration.
-			rel.retryFloor = &env.knobs.RetryFloorNs
-			// Likewise for the send-window caps (the per-stream AIMD
-			// machinery always runs; the tuner only moves its ceiling).
-			rel.capFrames = &env.knobs.WireWindowFrames
-			rel.capBytes = &env.knobs.WireWindowBytes
-		}
 		// The flight recorder receives wire round-trip samples and seeds
 		// cold streams' adaptive RTO.
 		rel.rec = env.rec
@@ -359,10 +316,6 @@ func newEnv(cfg Config) (*worldEnv, error) {
 	for pe := 0; pe < cfg.PEs; pe++ {
 		env.flushWG.Add(1)
 		go env.worlds[pe].flushLoop()
-	}
-	if env.tuneMode != tuning.ModeOff {
-		env.flushWG.Add(1)
-		go env.tuneLoop()
 	}
 	if cfg.WatchdogInterval > 0 {
 		env.dog = newWatchdog(env, cfg.WatchdogInterval, cfg.WatchdogStallFactor)

@@ -72,7 +72,7 @@ func TestDequeStealIntoSpill(t *testing.T) {
 		thief.push(mkEntry(1000 + i))
 	}
 	var spilled []int64
-	first, moved, ok := thief.stealInto(&victim, StealBatch(), func(e taskEntry) {
+	first, moved, ok := thief.stealInto(&victim, stealBatchMax, func(e taskEntry) {
 		spilled = append(spilled, e.spawnNs)
 	})
 	if !ok {
@@ -102,7 +102,7 @@ func TestDequeStealIntoBatch(t *testing.T) {
 	for i := int64(0); i < 40; i++ {
 		victim.push(mkEntry(i))
 	}
-	first, moved, ok := thief.stealInto(&victim, StealBatch(), func(taskEntry) {
+	first, moved, ok := thief.stealInto(&victim, stealBatchMax, func(taskEntry) {
 		t.Fatal("unexpected spill into an empty destination")
 	})
 	if !ok || first.spawnNs != 0 {

@@ -35,28 +35,10 @@ type injector struct {
 const injChunkCap = 64
 
 // injShardCap caps sharding: the injector uses min(workers, cap) shards.
-// Beyond ~8 independent locks the push-cursor atomic itself dominates,
-// so 8 is the default, but the cap is a measured knob (ISSUE 9): the
-// Task Bench matrix sweeps it per dependency pattern — see
-// bench_results.txt §TASKBENCH. Read once at pool construction;
-// override with LAMELLAR_INJ_SHARDS or SetInjectorShardCap before
-// building a pool.
-var injShardCap atomic.Int32
-
-const defaultInjShardCap = 8
-
-func init() {
-	injShardCap.Store(int32(envKnob("LAMELLAR_INJ_SHARDS", defaultInjShardCap, 1, 64)))
-}
-
-// SetInjectorShardCap sets the shard-count cap (clamped to [1, 64]) for
-// pools created afterwards; existing pools keep their shard count.
-func SetInjectorShardCap(n int) {
-	injShardCap.Store(int32(clampKnob(n, 1, 64)))
-}
-
-// InjectorShardCap reports the current shard-count cap.
-func InjectorShardCap() int { return int(injShardCap.Load()) }
+// Beyond ~8 independent locks the push-cursor atomic itself dominates;
+// the Task Bench sweeps (bench_results.txt §TASKBENCH) found no better
+// cap.
+const injShardCap = 8
 
 type injChunk struct {
 	lo, hi int // valid entries are buf[lo:hi]
@@ -80,12 +62,7 @@ type injShard struct {
 const maxSpareChunks = 4
 
 func newInjector(shards int) *injector {
-	if shards < 1 {
-		shards = 1
-	}
-	if cap := int(injShardCap.Load()); shards > cap {
-		shards = cap
-	}
+	shards = min(max(shards, 1), injShardCap)
 	return &injector{shards: make([]injShard, shards)}
 }
 

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/diag"
-	"repro/internal/envknob"
 	"repro/internal/telemetry"
 )
 
@@ -97,44 +96,10 @@ const (
 )
 
 // stealBatchMax bounds tasks transferred per steal encounter ("steal
-// half, capped"). A tunable (ISSUE 9): the Task Bench matrix measures it
-// across dependency patterns and granularities instead of hard-coding a
-// guess — see bench_results.txt §TASKBENCH. Reads are one atomic load on
-// the (rare relative to dispatch) steal path. Override per process with
-// LAMELLAR_STEAL_BATCH or per run with SetStealBatch.
-var stealBatchMax atomic.Int32
-
-const defaultStealBatch = 32
-
-func init() {
-	stealBatchMax.Store(int32(envKnob("LAMELLAR_STEAL_BATCH", defaultStealBatch, 1, 1024)))
-}
-
-// SetStealBatch sets the per-encounter steal transfer cap (clamped to
-// [1, 1024]). Safe to call concurrently; affects subsequent steals.
-func SetStealBatch(n int) {
-	stealBatchMax.Store(int32(clampKnob(n, 1, 1024)))
-}
-
-// StealBatch reports the current steal transfer cap.
-func StealBatch() int { return int(stealBatchMax.Load()) }
-
-// envKnob reads an integer knob from the environment, clamped to
-// [lo, hi]; absent values select def and malformed ones warn via diag
-// before doing the same (envknob handles both).
-func envKnob(name string, def, lo, hi int) int {
-	return envknob.Int(name, def, lo, hi)
-}
-
-func clampKnob(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
+// half, capped"). The Task Bench sweeps (bench_results.txt §TASKBENCH)
+// found no stable optimum across dependency patterns and granularities,
+// so it is a constant.
+const stealBatchMax = 32
 
 // NewPool starts a pool with the given number of workers (minimum 1).
 func NewPool(workers int) *Pool {
@@ -441,7 +406,7 @@ func (p *Pool) stealFrom(w int, d *deque, rng *uint64) (taskEntry, bool) {
 		if v == w {
 			continue
 		}
-		e, moved, ok := d.stealInto(p.deques[v], int(stealBatchMax.Load()), p.spill)
+		e, moved, ok := d.stealInto(p.deques[v], stealBatchMax, p.spill)
 		if !ok {
 			continue
 		}

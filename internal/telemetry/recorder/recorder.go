@@ -11,11 +11,10 @@
 //
 // Three consumers read it:
 //
-//   - the adaptive tuner (internal/tuning) reads the round-trip and
-//     batch-age digests in every LAMELLAR_TUNE mode, closing the gap
-//     where latency-bound decisions were blind without a live session;
 //   - the stall watchdog derives its "N× p99" stall thresholds from the
 //     round-trip histogram;
+//   - the reliable wire seeds a cold stream's retransmission timeout
+//     from the wire round-trip histogram;
 //   - diagnostic dumps (World.WriteDiagnostics, the LAMELLAR_DIAG
 //     signal) export a structured JSON Snapshot.
 package recorder

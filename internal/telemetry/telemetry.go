@@ -82,9 +82,6 @@ const (
 	// EvWireFault marks a fault-plan injection on a transmission;
 	// Sub = fabric.FaultKind, Arg1 = destination PE.
 	EvWireFault
-	// EvTuneDecision marks one adaptive-tuning controller decision;
-	// Sub = tuning knob id, Arg1 = new value, Arg2 = previous value.
-	EvTuneDecision
 	// EvWireSend marks a reliable-wire data frame's first transmission;
 	// Arg1 = destination PE, Arg2 = frame sequence number. Together with
 	// am.encode flows it lets the critical-path analyzer attribute
@@ -107,7 +104,6 @@ var eventNames = [numEventKinds]string{
 	"agg.open", "agg.flush", "fabric.op", "gauge",
 	"task.park",
 	"wire.retry", "wire.dedup", "wire.timeout", "wire.ack", "wire.fault",
-	"tune.decision",
 	"wire.send", "health", "wire.ooodrop",
 }
 
