@@ -162,17 +162,20 @@ wire-smoke:
 # causal-flow graph (lamellar-trace re-parses and validates it, rejecting
 # dangling flow references). The timeline must actually contain flow
 # starts — a trace with zero "s" events means span propagation broke.
+# The -metrics dump must carry the flight recorder's histogram series.
 # The -critical-path pass then proves the flow links are rich enough to
 # decompose an aggregated fetch-add round trip into queue/encode/wire/
 # exec/return segments.
 trace-smoke:
-	$(GO) run ./cmd/lamellar-trace -kernel histo -cores 4 -workers 1 -updates 2000 -timeline /tmp/lamellar-trace-smoke.json > /dev/null
+	$(GO) run ./cmd/lamellar-trace -kernel histo -cores 4 -workers 1 -updates 2000 -timeline /tmp/lamellar-trace-smoke.json -metrics > /tmp/lamellar-trace-metrics.out
 	@grep -q '"ph":"s"' /tmp/lamellar-trace-smoke.json || \
 		{ echo "trace-smoke: timeline has no flow starts" >&2; exit 1; }
+	@grep -q 'lamellar_am_round_trip_seconds_bucket' /tmp/lamellar-trace-metrics.out || \
+		{ echo "trace-smoke: -metrics printed no recorder histograms" >&2; exit 1; }
 	$(GO) run ./cmd/lamellar-trace -critical-path -cores 8 -workers 2 -ops 128 -timeline /tmp/lamellar-critpath-smoke.json | tee /tmp/critpath-smoke.out > /dev/null
 	@grep -q 'complete flows' /tmp/critpath-smoke.out || \
 		{ echo "trace-smoke: critical-path produced no decomposition" >&2; exit 1; }
-	@echo "trace-smoke: /tmp/lamellar-trace-smoke.json OK (flow-linked, critical path decomposed)"
+	@echo "trace-smoke: /tmp/lamellar-trace-smoke.json OK (flow-linked, metrics exported, critical path decomposed)"
 
 # Watchdog smoke test: a partitioned link under a 5% fault plan must be
 # detected by the stall sampler (health counters move) and then recover

@@ -20,6 +20,7 @@ import (
 	"repro/internal/scheduler"
 	"repro/internal/serde"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/recorder"
 )
 
 // benchParams keeps kernel benchmarks fast enough for -bench runs.
@@ -300,16 +301,19 @@ func BenchmarkSchedSkewedProducer(b *testing.B) {
 	b.ReportMetric(float64(stolen)/float64(b.N), "steals/op")
 }
 
-// BenchmarkSchedQueueWait runs a burst workload with telemetry live and
-// reports the task queue-wait p50/p99 (submit→start latency) from
-// HistQueueWait — the acceptance metric for the executor rewrite.
+// BenchmarkSchedQueueWait runs a burst workload with telemetry live (so
+// every task is stamped) and reports the task queue-wait p50/p99
+// (submit→start latency) from the flight recorder's HistQueueWait — the
+// acceptance metric for the executor rewrite.
 func BenchmarkSchedQueueWait(b *testing.B) {
 	c, owner := telemetry.StartGlobal(1, 1<<16)
 	if owner {
 		defer telemetry.StopGlobal(c)
 	}
+	h := recorder.New(1).PE(0).Hist(recorder.HistQueueWait)
 	p := scheduler.NewPool(4)
 	defer p.Close()
+	p.SetQueueWaitRecorder(h)
 	var sink atomic.Uint64
 	task := func() {
 		var x uint64 = 2463534242
@@ -326,7 +330,6 @@ func BenchmarkSchedQueueWait(b *testing.B) {
 	}
 	p.Quiesce()
 	b.StopTimer()
-	h := c.Hist(0, telemetry.HistQueueWait)
 	b.ReportMetric(float64(h.Quantile(0.5)), "qwait-p50-ns")
 	b.ReportMetric(float64(h.Quantile(0.99)), "qwait-p99-ns")
 }

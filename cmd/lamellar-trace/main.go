@@ -11,8 +11,8 @@
 // telemetry subsystem and exports a Chrome trace-event JSON timeline —
 // open it at ui.perfetto.dev (or chrome://tracing) to see one track per
 // PE×worker of task, AM, aggregation, and fabric activity. -metrics
-// appends a Prometheus-style text dump of the telemetry counters and
-// latency histograms:
+// appends a Prometheus-style text dump of the session's event counters
+// and the flight recorder's latency histograms:
 //
 //	lamellar-trace -kernel histo -timeline /tmp/histo.json -metrics
 //

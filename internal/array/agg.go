@@ -131,6 +131,7 @@ type aggregator[T serde.Number] struct {
 	bufSize  int
 	flushOps int
 	flushFn  func() // FlushBatches method value, bound once (await hooks)
+	unhook   func() // unregisters the World flush hook (last local drop)
 	shards   []aggShard[T]
 	spares   sync.Pool // *aggBatch[T]
 
@@ -189,8 +190,8 @@ func (c *core[T]) agg() *aggregator[T] {
 		return nil, err, true
 	})
 	g.sharedF.SetAwaitHook(g.flushFn)
+	g.unhook = c.w.RegisterFlushHook(g.flushFn)
 	s.aggPtrs[me].Store(g)
-	c.w.RegisterFlushHook(g.FlushBatches)
 	return g
 }
 
@@ -486,7 +487,7 @@ func zeroOf[T serde.Number]() T {
 // element is owner-local). append copies operand values into the batch
 // columns, so the stack-backed one-element slices never escape.
 func (c *core[T]) singleOp(op Op, fetch bool, idx int, val, casOld T) *scheduler.Future[[]T] {
-	if c.w.Config().AggBufSize < 0 {
+	if c.st.direct {
 		// Direct mode: one AM per op via the batch path.
 		var evals, ecas []T
 		if op != OpLoad {

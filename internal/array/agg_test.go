@@ -1,9 +1,11 @@
 package array
 
 import (
+	goruntime "runtime"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/runtime"
 )
@@ -446,4 +448,45 @@ func TestAggConcurrentStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// A dropped array must become unreachable once every PE's handles are
+// gone: its aggregator's flush hook may not pin the shared state (the
+// region, per-element locks and buffers) for the world's lifetime.
+func TestDroppedArrayIsCollected(t *testing.T) {
+	err := runtime.Run(runtime.Config{PEs: 2, WorkersPerPE: 1, Lamellae: runtime.LamellaeShmem}, func(w *runtime.World) {
+		st := dropAfterRemoteAdd(w)
+		w.Barrier()
+		if w.MyPE() != 0 {
+			return
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			goruntime.GC()
+			if st.Value() == nil {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Error("dropped array's shared state still reachable after 2s")
+				return
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dropAfterRemoteAdd builds an array, buffers one aggregated Add to a
+// remote index (which creates this PE's aggregator and its flush hook),
+// then drops the handle. Only a weak pointer to the shared state
+// escapes.
+func dropAfterRemoteAdd(w *runtime.World) weak.Pointer[sharedState[uint64]] {
+	a := NewAtomicArray[uint64](w.Team(), 64, Block)
+	a.Add(remoteIdx(w.MyPE(), 64), 1)
+	w.WaitAll()
+	st := weak.Make(a.c.st)
+	a.Drop()
+	return st
 }

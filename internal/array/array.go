@@ -54,6 +54,15 @@ type sharedState[T serde.Number] struct {
 	elocks  [][]atomic.Uint32 // GenericAtomicArray: per-element spinlocks
 	native  bool              // NativeAtomicArray eligibility for T
 
+	// World settings the op paths read, captured once at construction
+	// (World.Config copies the whole struct): direct is AggBufSize < 0
+	// (no op aggregation), batchMax is ArrayBatchSize, and putAMMax is
+	// the element count up to which a range put travels inside an AM
+	// (AggThresholdBytes) instead of an owner RDMA pull.
+	direct   bool
+	batchMax int
+	putAMMax int
+
 	// per-origin-PE operation aggregation buffers (see agg.go); aggPtrs is
 	// indexed by world PE and read lock-free on the submission hot path
 	aggMu   sync.Mutex
@@ -114,12 +123,16 @@ func newCore[T serde.Number](team *runtime.Team, glen int, dist Distribution, ki
 	w := team.World()
 	st := team.CollectiveKind("array.new", func() any {
 		geom := geometry{dist: dist, glen: glen, npes: team.Size()}
+		cfg := w.Config()
 		s := &sharedState[T]{
-			id:     nextArrayID.Add(1),
-			geom:   geom,
-			region: fabric.AllocTyped[T](w.Provider(), geom.maxLocalLen()),
-			native: nativeAtomicOK[T](),
+			id:       nextArrayID.Add(1),
+			geom:     geom,
+			region:   fabric.AllocTyped[T](w.Provider(), geom.maxLocalLen()),
+			native:   nativeAtomicOK[T](),
+			direct:   cfg.AggBufSize < 0,
+			batchMax: cfg.ArrayBatchSize,
 		}
+		s.putAMMax = cfg.AggThresholdBytes / max(1, s.region.ElemSize())
 		s.kind.Store(int32(kind))
 		s.ranks = make(map[int]int, team.Size())
 		for r, pe := range team.Members() {
@@ -210,7 +223,19 @@ func (c *core[T]) clone() *core[T] {
 
 // drop releases the handle's reference; the backing storage is freed when
 // every PE's handles are gone (asynchronously, via the darc protocol).
-func (c *core[T]) drop() { c.d.Drop() }
+// Array handles never travel in AMs, so once this PE's count is zero it
+// stays zero: the PE's aggregator ships what it still buffers and
+// unregisters its flush hook, which would otherwise keep the array
+// reachable for the world's lifetime.
+func (c *core[T]) drop() {
+	c.d.Drop()
+	if c.d.LocalRefs() == 0 {
+		if g := c.st.aggPtrs[c.w.MyPE()].Load(); g != nil {
+			g.FlushBatches()
+			g.unhook()
+		}
+	}
+}
 
 // ----- conversion ---------------------------------------------------------
 

@@ -636,7 +636,7 @@ func (c *core[T]) batchOp(op Op, fetch bool, idxs []int, vals, casOld []T) *sche
 		promise.Complete(nil)
 		return future
 	}
-	if c.w.Config().AggBufSize >= 0 {
+	if !c.st.direct {
 		// Aggregated path: coalesce into per-destination buffers.
 		return c.aggSubmit(op, fetch, idxs, vals, casOld)
 	}
@@ -655,7 +655,7 @@ func (c *core[T]) batchOp(op Op, fetch bool, idxs []int, vals, casOld []T) *sche
 		vals   []T
 		casOld []T
 	}
-	maxBatch := c.w.Config().ArrayBatchSize
+	maxBatch := c.st.batchMax
 	byRank := make(map[int]*chunk)
 	var chunks []*chunk
 	for p, idx := range idxs {

@@ -135,8 +135,7 @@ func (c *core[T]) getDirect(start, n int) []T {
 // AMs; above it the owner pulls the run via RDMA (one small descriptor AM
 // plus a bulk transfer at RDMA cost), reproducing the Fig. 2 crossover.
 func (c *core[T]) bigPut(start int, vals []T) *scheduler.Future[struct{}] {
-	threshold := c.w.Config().AggThresholdBytes / max(1, c.st.region.ElemSize())
-	if len(vals) <= threshold {
+	if len(vals) <= c.st.putAMMax {
 		return c.putRange(start, vals)
 	}
 	// Owner-pull: write into a staging region we own, then ask each owner

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -141,7 +142,8 @@ type TraceOpts struct {
 	// (Perfetto-loadable) to this path, validating that it parses.
 	Timeline string
 	// Metrics, when set, appends a Prometheus-style text dump of the
-	// telemetry counters and histograms to the output writer.
+	// session's event counters and the flight recorder's latency
+	// histograms to the output writer.
 	Metrics bool
 }
 
@@ -217,6 +219,9 @@ func traceOne(fn kernels.KernelFunc, name string, cores int, cfg KernelFigConfig
 		}
 	}
 	tr := NewTrace(pes)
+	// The recorder lives with the world, so its histograms are rendered
+	// before Run returns and printed after the session counters.
+	var hists bytes.Buffer
 	err := runtime.Run(rcfg, func(w *runtime.World) {
 		w.Barrier()
 		if w.MyPE() == 0 {
@@ -229,6 +234,9 @@ func traceOne(fn kernels.KernelFunc, name string, cores int, cfg KernelFigConfig
 		w.Barrier()
 		if w.MyPE() == 0 {
 			w.Provider().SetHook(nil)
+			if opts.Metrics {
+				w.WritePrometheus(&hists) // writes to a bytes.Buffer cannot fail
+			}
 		}
 	})
 	if err != nil {
@@ -250,6 +258,9 @@ func traceOne(fn kernels.KernelFunc, name string, cores int, cfg KernelFigConfig
 	if opts.Metrics {
 		fmt.Fprintf(out, "\n# telemetry metrics\n")
 		if err := tc.WritePrometheus(out); err != nil {
+			return err
+		}
+		if _, err := hists.WriteTo(out); err != nil {
 			return err
 		}
 	}

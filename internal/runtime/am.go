@@ -282,7 +282,6 @@ func (w *World) launchSpan(pe int, am ActiveMessage, req uint64, sp, parent tele
 func (w *World) enqueueAM(pe int, req uint64, am ActiveMessage, sp telemetry.SpanContext) {
 	w.envSent.Add(1)
 	q := w.queues[pe]
-	cfg := &w.env.cfg
 	var tc *telemetry.Collector
 	var t0 int64
 	if telemetry.Enabled() {
@@ -291,15 +290,7 @@ func (w *World) enqueueAM(pe int, req uint64, am ActiveMessage, sp telemetry.Spa
 		}
 	}
 	q.mu.Lock()
-	if q.count == 0 {
-		// The batch-open stamp is taken even without a session: the flush
-		// records batch age into the always-on recorder either way.
-		if t0 != 0 {
-			q.openNs = t0
-		} else {
-			q.openNs = telemetry.MonoNow()
-		}
-	}
+	q.openLocked(t0)
 	mark := q.enc.Len()
 	q.enc.PutU32(0) // body length, patched below
 	q.enc.Align(8)
@@ -318,20 +309,6 @@ func (w *World) enqueueAM(pe int, req uint64, am ActiveMessage, sp telemetry.Spa
 		panic(fmt.Sprintf("runtime: AM type not registered: %v", err))
 	}
 	binary.LittleEndian.PutUint32(q.enc.Bytes()[mark:], uint32(q.enc.Len()-bodyStart))
-	q.count++
-	bySize := q.enc.Len() >= cfg.AggThresholdBytes
-	full := bySize || (cfg.AggMaxOps > 0 && q.count >= cfg.AggMaxOps)
-	var out *serde.Encoder
-	var envs int
-	var openNs int64
-	if full {
-		out = q.enc
-		envs = q.count
-		openNs = q.openNs
-		q.enc = q.takeSpareLocked()
-		q.count = 0
-	}
-	q.mu.Unlock()
 	if tc != nil {
 		tc.Emit(telemetry.Event{
 			TS: t0, Dur: tc.Now() - t0, Kind: telemetry.EvAMEncode,
@@ -339,15 +316,45 @@ func (w *World) enqueueAM(pe int, req uint64, am ActiveMessage, sp telemetry.Spa
 			Flow: sp.Span,
 		})
 	}
-	if full {
-		reason := telemetry.FlushSize
-		if !bySize {
-			reason = telemetry.FlushOps
-		}
-		w.noteBatchFlush(pe, reason, envs, openNs, tc)
-		w.sendBatch(pe, out.Bytes())
-		q.putSpare(out)
+	w.appendedLocked(pe, q, tc)
+}
+
+// openLocked stamps the batch-open time when q is empty. The stamp is
+// taken even without a session (t0 == 0): the flush records batch age
+// into the always-on recorder either way. Caller holds q.mu.
+func (q *aggQueue) openLocked(t0 int64) {
+	if q.count != 0 {
+		return
 	}
+	if t0 == 0 {
+		t0 = telemetry.MonoNow()
+	}
+	q.openNs = t0
+}
+
+// appendedLocked counts the envelope just appended to dst's queue q and
+// releases q.mu, shipping the batch once it crossed the aggregation
+// threshold. Caller holds q.mu.
+func (w *World) appendedLocked(dst int, q *aggQueue, tc *telemetry.Collector) {
+	q.count++
+	if q.enc.Len() < w.env.cfg.AggThresholdBytes {
+		q.mu.Unlock()
+		return
+	}
+	w.shipLocked(dst, q, telemetry.FlushSize, tc)
+}
+
+// shipLocked detaches q's open batch (swapping in the spare encoder),
+// releases q.mu, and puts the batch on the wire. Caller holds q.mu and
+// q holds at least one envelope.
+func (w *World) shipLocked(dst int, q *aggQueue, reason telemetry.FlushReason, tc *telemetry.Collector) {
+	out, envs, openNs := q.enc, q.count, q.openNs
+	q.enc = q.takeSpareLocked()
+	q.count = 0
+	q.mu.Unlock()
+	w.noteBatchFlush(dst, reason, envs, openNs, tc)
+	w.sendBatch(dst, out.Bytes())
+	q.putSpare(out)
 }
 
 // sendBatch hands one wire batch to the transport. Remote transports sit
@@ -402,8 +409,8 @@ func (w *World) resolveReturn(src int, req uint64, v any, err error) {
 	if e.issueNs > 0 {
 		now := telemetry.MonoNow()
 		rt := now - e.issueNs
-		// Round-trip latency always feeds the flight recorder; a live
-		// session additionally gets the event + session histogram.
+		// Round-trip latency feeds the flight recorder; a live session
+		// additionally gets the return event.
 		w.env.rec.PE(w.pe).Record(recorder.HistRoundTrip, rt)
 		if telemetry.Enabled() {
 			if c := telemetry.C(); c != nil {
@@ -413,7 +420,6 @@ func (w *World) resolveReturn(src int, req uint64, v any, err error) {
 					Arg1: int64(src), Arg2: int64(req),
 					Flow: e.span.Span,
 				})
-				c.Hist(w.pe, telemetry.HistAMRoundTrip).Record(rt)
 			}
 		}
 	}
@@ -434,11 +440,10 @@ func (w *World) resolveReturn(src int, req uint64, v any, err error) {
 // ----- aggregation and wire handling ------------------------------------
 
 // enqueue appends an envelope body to dst's aggregation queue, flushing
-// when the buffer crosses the aggregation threshold or the op cap.
+// when the buffer crosses the aggregation threshold.
 func (w *World) enqueue(dst int, body []byte) {
 	w.envSent.Add(1)
 	q := w.queues[dst]
-	cfg := &w.env.cfg
 	var tc *telemetry.Collector
 	var t0 int64
 	if telemetry.Enabled() {
@@ -447,49 +452,20 @@ func (w *World) enqueue(dst int, body []byte) {
 		}
 	}
 	q.mu.Lock()
-	if q.count == 0 {
-		if t0 != 0 {
-			q.openNs = t0
-		} else {
-			q.openNs = telemetry.MonoNow()
-		}
-	}
+	q.openLocked(t0)
 	// Envelope bodies start 8-aligned in the batch so numeric payloads
 	// inside them can be aliased (not copied) on the receiving side; the
 	// fixed-width length prefix keeps framing identical to enqueueAM.
 	q.enc.PutU32(uint32(len(body)))
 	q.enc.Align(8)
 	q.enc.PutRawBytes(body)
-	q.count++
-	bySize := q.enc.Len() >= cfg.AggThresholdBytes
-	full := bySize || (cfg.AggMaxOps > 0 && q.count >= cfg.AggMaxOps)
-	var out *serde.Encoder
-	var envs int
-	var openNs int64
-	if full {
-		out = q.enc
-		envs = q.count
-		openNs = q.openNs
-		q.enc = q.takeSpareLocked()
-		q.count = 0
-	}
-	q.mu.Unlock()
-	if full {
-		reason := telemetry.FlushSize
-		if !bySize {
-			reason = telemetry.FlushOps
-		}
-		w.noteBatchFlush(dst, reason, envs, openNs, tc)
-		w.sendBatch(dst, out.Bytes())
-		q.putSpare(out)
-	}
+	w.appendedLocked(dst, q, tc)
 }
 
 // noteBatchFlush records one wire batch leaving this PE: always counted
-// for Stats and recorded into the flight recorder's batch-age digest
-// (diag dump input), and — when a telemetry session is active
-// — emitted as an agg.flush span covering the queue's open→flush age,
-// which also feeds the session's flush-interval histogram.
+// for Stats and recorded into the flight recorder's batch-age digest,
+// and — when a telemetry session is active — emitted as an agg.flush
+// span covering the queue's open→flush age.
 func (w *World) noteBatchFlush(dst int, reason telemetry.FlushReason, envs int, openNs int64, tc *telemetry.Collector) {
 	w.batchesSent.Add(1)
 	w.batchReasons[reason].Add(1)
@@ -502,7 +478,6 @@ func (w *World) noteBatchFlush(dst int, reason telemetry.FlushReason, envs int, 
 	if tc == nil {
 		return
 	}
-	tc.Hist(w.pe, telemetry.HistFlushInterval).Record(dur)
 	tc.Emit(telemetry.Event{
 		TS: now - dur, Dur: dur, Kind: telemetry.EvBatchFlush, Sub: uint8(reason),
 		PE: int32(w.pe), Worker: telemetry.TidRuntime,
@@ -520,9 +495,7 @@ func (w *World) flush(dst int, reason telemetry.FlushReason) {
 		body.PutUvarint(acks)
 		q := w.queues[dst]
 		q.mu.Lock()
-		if q.count == 0 {
-			q.openNs = telemetry.MonoNow()
-		}
+		q.openLocked(0)
 		q.enc.PutU32(uint32(body.Len()))
 		q.enc.Align(8)
 		q.enc.PutRawBytes(body.Bytes())
@@ -540,15 +513,7 @@ func (w *World) flush(dst int, reason telemetry.FlushReason) {
 		q.mu.Unlock()
 		return
 	}
-	out := q.enc
-	envs := q.count
-	openNs := q.openNs
-	q.enc = q.takeSpareLocked()
-	q.count = 0
-	q.mu.Unlock()
-	w.noteBatchFlush(dst, reason, envs, openNs, tc)
-	w.sendBatch(dst, out.Bytes())
-	q.putSpare(out)
+	w.shipLocked(dst, q, reason, tc)
 }
 
 // flushAll drains every destination queue, first letting higher layers

@@ -50,10 +50,6 @@ type Config struct {
 	// AggThresholdBytes is the aggregation buffer size; a destination
 	// queue flushes when it exceeds this. The paper's default is 100 KB.
 	AggThresholdBytes int
-	// AggMaxOps flushes a destination queue after this many queued
-	// envelopes regardless of size (the BALE experiments cap buffers at
-	// 10 000 operations). 0 disables the op cap.
-	AggMaxOps int
 	// FlushInterval is the background flusher period that bounds the
 	// latency of sparse traffic.
 	FlushInterval time.Duration
@@ -122,33 +118,26 @@ type Config struct {
 	// WireWindowFrames caps each (src,dst) stream's AIMD congestion
 	// window in frames: at most this many unacked frames in flight, with
 	// further frames parking on a per-stream pending queue and senders
-	// blocking (backpressure) once the queue exceeds the cap. 0 selects
-	// the default (256, or LAMELLAR_WIRE_WINDOW); negative disables
-	// windowing entirely (the pre-flow-control unbounded behavior).
+	// blocking (backpressure) once the queue exceeds the cap. Default
+	// 256, floored at 8. The in-flight byte budget is fixed at 16 MiB at
+	// full window (wireWindowBytes) and scales with the congestion
+	// window.
 	WireWindowFrames int
-	// WireWindowBytes caps the in-flight byte budget at full frame
-	// window; the live budget scales with the congestion window. Default
-	// 16 MiB (LAMELLAR_WIRE_WINDOW_BYTES) — 256 max-size batch frames,
-	// so by default the byte budget binds only when frames are large and
-	// the frame window governs otherwise.
-	WireWindowBytes int
 	// WireAckEvery coalesces cumulative acks: one ack per this many
 	// in-order deliveries (or after WireAckHoldoff, whichever first).
-	// Default 4 (LAMELLAR_WIRE_ACK_EVERY); 1 acks every frame.
+	// Default 4; 1 acks every frame.
 	WireAckEvery int
 	// WireAckHoldoff bounds how long an owed coalesced ack may wait for
-	// more deliveries (or reverse traffic to piggyback on). Default 250µs
-	// (LAMELLAR_WIRE_ACK_HOLDOFF_US).
+	// more deliveries (or reverse traffic to piggyback on). Default 250µs.
 	WireAckHoldoff time.Duration
 	// WireOOOWindow bounds each receive stream's out-of-order buffer:
 	// frames more than this many sequence numbers ahead of the next
 	// expected one are dropped (the sender's timeout repairs them) so
-	// sustained reordering cannot grow memory. Default 1024
-	// (LAMELLAR_WIRE_OOO); negative disables the bound.
+	// sustained reordering cannot grow memory. Default 1024.
 	WireOOOWindow int
 	// WireRTOMin floors the RTT-adaptive retransmission timeout so
 	// microsecond-scale local round trips cannot produce a hair-trigger
-	// RTO. Default 500µs (LAMELLAR_WIRE_RTO_MIN_US).
+	// RTO. Default 500µs.
 	WireRTOMin time.Duration
 }
 
@@ -174,9 +163,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AggThresholdBytes <= 0 {
 		c.AggThresholdBytes = 100_000
-	}
-	if c.AggMaxOps < 0 {
-		c.AggMaxOps = 0
 	}
 	if c.FlushInterval <= 0 {
 		c.FlushInterval = 200 * time.Microsecond
@@ -221,44 +207,20 @@ func (c Config) withDefaults() Config {
 	if c.WatchdogStallFactor <= 0 {
 		c.WatchdogStallFactor = 8
 	}
-	// Wire flow-control knobs: the LAMELLAR_WIRE_* env overrides apply
-	// process-wide (like the fault knobs) so the fault/bench matrix can
-	// A/B the windowing machinery without editing Configs.
-	if c.WireWindowFrames == 0 {
+	if c.WireWindowFrames <= 0 {
 		c.WireWindowFrames = 256
-		if v, ok := envInt("LAMELLAR_WIRE_WINDOW"); ok && v != 0 {
-			c.WireWindowFrames = v
-		}
-	}
-	if c.WireWindowBytes <= 0 {
-		c.WireWindowBytes = 16 << 20
-		if v, ok := envInt("LAMELLAR_WIRE_WINDOW_BYTES"); ok && v > 0 {
-			c.WireWindowBytes = v
-		}
 	}
 	if c.WireAckEvery <= 0 {
 		c.WireAckEvery = 4
-		if v, ok := envInt("LAMELLAR_WIRE_ACK_EVERY"); ok && v > 0 {
-			c.WireAckEvery = v
-		}
 	}
 	if c.WireAckHoldoff <= 0 {
 		c.WireAckHoldoff = 250 * time.Microsecond
-		if v, ok := envInt("LAMELLAR_WIRE_ACK_HOLDOFF_US"); ok && v > 0 {
-			c.WireAckHoldoff = time.Duration(v) * time.Microsecond
-		}
 	}
-	if c.WireOOOWindow == 0 {
+	if c.WireOOOWindow <= 0 {
 		c.WireOOOWindow = 1024
-		if v, ok := envInt("LAMELLAR_WIRE_OOO"); ok && v != 0 {
-			c.WireOOOWindow = v
-		}
 	}
 	if c.WireRTOMin <= 0 {
 		c.WireRTOMin = 500 * time.Microsecond
-		if v, ok := envInt("LAMELLAR_WIRE_RTO_MIN_US"); ok && v > 0 {
-			c.WireRTOMin = time.Duration(v) * time.Microsecond
-		}
 	}
 	if c.Faults == nil {
 		// LAMELLAR_FAULT_* knobs apply process-wide so the existing test

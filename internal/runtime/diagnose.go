@@ -129,6 +129,13 @@ func (w *World) WriteDiagnostics(out io.Writer) error {
 	return enc.Encode(w.DiagSnapshot())
 }
 
+// WritePrometheus writes the flight recorder's latency histograms (AM
+// round trip, task queue wait, batch age as agg_flush_interval, wire
+// RTT) in the Prometheus text exposition format, one series per PE.
+// Like WriteDiagnostics it needs no telemetry session and is safe to
+// call at any time.
+func (w *World) WritePrometheus(out io.Writer) error { return w.env.rec.WritePrometheus(out) }
+
 // DumpAllDiagnostics writes one JSON snapshot per live world to out.
 // The LAMELLAR_DIAG signal handler funnels here; it is also callable
 // directly (e.g. from a debug HTTP endpoint).

@@ -235,16 +235,16 @@ func TestPartitionSurfacesDeliveryError(t *testing.T) {
 	}
 }
 
-// Wire counters must surface through every reporting channel: the
-// Stats wire(...) segment, StatsReport, and the Prometheus dump's
-// lamellar_events_total series.
+// Wire counters must surface through every reporting channel: Stats, its
+// wire(...) segment, and the Prometheus dump's lamellar_events_total
+// series.
 func TestWireCountersInTelemetryAndProm(t *testing.T) {
 	testCounter.Store(0)
 	plan := fabric.NewFaultPlan(5).SetDefault(fabric.LinkFaults{DropRate: 0.2})
 	cfg := faultCfg(2, LamellaeShmem, plan)
 	cfg.Telemetry = true
 	var prom strings.Builder
-	var report StatsReport
+	var report Stats
 	err := Run(cfg, func(w *World) {
 		// Many small flushed rounds, not one aggregated burst: each WaitAll
 		// forces the round's data frames onto the wire, so the 20% plan is
@@ -259,7 +259,7 @@ func TestWireCountersInTelemetryAndProm(t *testing.T) {
 		}
 		w.Barrier()
 		if w.MyPE() == 0 {
-			report = w.StatsReport()
+			report = w.Stats()
 			if err := telemetry.C().WritePrometheus(&prom); err != nil {
 				panic(err)
 			}
@@ -273,7 +273,7 @@ func TestWireCountersInTelemetryAndProm(t *testing.T) {
 		t.Errorf("counter = %d, want 400", got)
 	}
 	if report.WireFaultsInjected == 0 || report.WireRetries == 0 {
-		t.Errorf("StatsReport wire counters empty: injected=%d retx=%d",
+		t.Errorf("Stats wire counters empty: injected=%d retx=%d",
 			report.WireFaultsInjected, report.WireRetries)
 	}
 	if !strings.Contains(report.String(), "wire(") {

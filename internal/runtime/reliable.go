@@ -271,9 +271,8 @@ type relLamellae struct {
 	backoffMax    time.Duration
 	deliveryTO    time.Duration // <= 0: never give up
 
-	// Flow-control configuration (Config.Wire*, env LAMELLAR_WIRE_*).
-	windowFrames int   // frame-window cap; <= 0 disables windowing
-	windowBytes  int   // byte-window cap at full frame window
+	// Flow-control configuration (Config.Wire*).
+	capF         int   // frame-window cap, floored at minWindowFrames
 	ackEvery     int   // coalesce: ack after K in-order deliveries
 	ackHoldoffNs int64 // coalesce: or after this holdoff, whichever first
 	oooWindow    uint64
@@ -298,6 +297,10 @@ type relLamellae struct {
 const (
 	minWindowFrames = 8
 	minWindowBytes  = 64 << 10
+	// wireWindowBytes caps the in-flight byte budget at full frame
+	// window: 256 max-size batch frames, so at the default frame window
+	// the byte budget binds only when frames are large.
+	wireWindowBytes = 16 << 20
 )
 
 func newRelLamellae(cfg Config, deliver deliverFn, giveUp undeliverableFn) *relLamellae {
@@ -310,10 +313,10 @@ func newRelLamellae(cfg Config, deliver deliverFn, giveUp undeliverableFn) *relL
 		retryInterval: cfg.RetryInterval,
 		backoffMax:    cfg.RetryBackoffMax,
 		deliveryTO:    cfg.DeliveryTimeout,
-		windowFrames:  cfg.WireWindowFrames,
-		windowBytes:   cfg.WireWindowBytes,
+		capF:          max(cfg.WireWindowFrames, minWindowFrames),
 		ackEvery:      cfg.WireAckEvery,
 		ackHoldoffNs:  cfg.WireAckHoldoff.Nanoseconds(),
+		oooWindow:     uint64(cfg.WireOOOWindow),
 		rtoMinNs:      cfg.WireRTOMin.Nanoseconds(),
 		pairs:         make([][]*relPair, npes),
 		recv:          make([][]*relRecv, npes),
@@ -321,21 +324,11 @@ func newRelLamellae(cfg Config, deliver deliverFn, giveUp undeliverableFn) *relL
 		drainKick:     make(chan struct{}, 1),
 		stop:          make(chan struct{}),
 	}
-	if r.windowFrames < 0 {
-		r.windowFrames = 0 // windowing disabled
-	}
-	if cfg.WireOOOWindow > 0 {
-		r.oooWindow = uint64(cfg.WireOOOWindow)
-	}
 	for pe := 0; pe < npes; pe++ {
 		r.pairs[pe] = make([]*relPair, npes)
 		r.recv[pe] = make([]*relRecv, npes)
 		for d := 0; d < npes; d++ {
-			p := &relPair{}
-			if r.windowFrames > 0 {
-				p.win = newSendWindow(minWindowFrames, r.windowFrames)
-			}
-			r.pairs[pe][d] = p
+			r.pairs[pe][d] = &relPair{win: newSendWindow(minWindowFrames, cfg.WireWindowFrames)}
 			r.recv[pe][d] = &relRecv{}
 		}
 	}
@@ -353,35 +346,20 @@ func (r *relLamellae) start(inner lamellae) {
 
 func (r *relLamellae) name() LamellaeKind { return r.inner.name() }
 
-// windowCaps reports the configured (frames, bytes) window caps, floored
-// at the minimum window. Zero frames means windowing is disabled.
-func (r *relLamellae) windowCaps() (capF, capB int) {
-	if r.windowFrames <= 0 {
-		return 0, 0
-	}
-	return max(r.windowFrames, minWindowFrames), max(r.windowBytes, minWindowBytes)
-}
-
 // admitLocked reports whether one more frame of frameLen bytes fits the
 // stream's current congestion window. At least one frame is always
 // admitted so an oversized frame cannot stall forever. Caller holds p.mu.
-func (r *relLamellae) admitLocked(p *relPair, frameLen, capF, capB int) bool {
-	if capF == 0 {
-		return true // windowing disabled
-	}
+func (r *relLamellae) admitLocked(p *relPair, frameLen int) bool {
 	inflight := len(p.unacked)
 	if inflight == 0 {
 		return true
 	}
-	cwnd := p.win.cwnd
-	if cwnd > capF {
-		cwnd = capF
-	}
+	cwnd := min(p.win.cwnd, r.capF)
 	if inflight >= cwnd {
 		return false
 	}
 	// Byte budget scales with the frame window: cwnd/capF of the byte cap.
-	budget := int(int64(capB) * int64(cwnd) / int64(capF))
+	budget := int(int64(wireWindowBytes) * int64(cwnd) / int64(r.capF))
 	if budget < minWindowBytes {
 		budget = minWindowBytes
 	}
@@ -439,9 +417,8 @@ func (r *relLamellae) send(src, dst int, msg []byte) error {
 	}
 	copy(buf[wireHeaderBytes:], msg)
 	now := telemetry.MonoNow()
-	capF, capB := r.windowCaps()
 	p.mu.Lock()
-	r.pruneLocked(p, src, capF)
+	r.pruneLocked(p, src)
 	fr := framePool.Get().(*relFrame)
 	fr.seq = p.nextSeq
 	fr.buf = buf
@@ -455,7 +432,7 @@ func (r *relLamellae) send(src, dst int, msg []byte) error {
 	e := frameRef{fr: fr, gen: fr.gen}
 	// Launch immediately only when nothing older is parked (FIFO) and the
 	// window admits it; otherwise park for the drain path.
-	if len(p.pending) == 0 && r.admitLocked(p, len(buf), capF, capB) {
+	if len(p.pending) == 0 && r.admitLocked(p, len(buf)) {
 		r.startFlightLocked(p, src, dst, e, now)
 	} else {
 		p.pending = append(p.pending, e)
@@ -464,7 +441,7 @@ func (r *relLamellae) send(src, dst int, msg []byte) error {
 	// Backpressure: block while the parked queue exceeds the window cap.
 	// Acks arrive via transport goroutines that never take p.mu, so the
 	// drain goroutine can always free space and wake us.
-	for capF > 0 && len(p.pending) > capF {
+	for len(p.pending) > r.capF {
 		if p.wake == nil {
 			p.wake = make(chan struct{})
 		}
@@ -484,11 +461,11 @@ func (r *relLamellae) send(src, dst int, msg []byte) error {
 // drainPairLocked launches parked frames into whatever window space is
 // available and wakes blocked senders once the pending queue is back
 // under the cap. Caller holds p.mu.
-func (r *relLamellae) drainPairLocked(p *relPair, src, dst int, nowNs int64, capF, capB int) {
+func (r *relLamellae) drainPairLocked(p *relPair, src, dst int, nowNs int64) {
 	i := 0
 	for i < len(p.pending) {
 		fr := p.pending[i].frame()
-		if !r.admitLocked(p, len(fr.buf), capF, capB) {
+		if !r.admitLocked(p, len(fr.buf)) {
 			break
 		}
 		r.startFlightLocked(p, src, dst, p.pending[i], nowNs)
@@ -498,7 +475,7 @@ func (r *relLamellae) drainPairLocked(p *relPair, src, dst int, nowNs int64, cap
 	if i > 0 {
 		p.pending = append(p.pending[:0], p.pending[i:]...)
 	}
-	if p.wake != nil && (capF == 0 || len(p.pending) <= capF) {
+	if p.wake != nil && len(p.pending) <= r.capF {
 		close(p.wake)
 		p.wake = nil
 	}
@@ -512,7 +489,6 @@ func (r *relLamellae) drainPairLocked(p *relPair, src, dst int, nowNs int64, cap
 // stuck link lets a frame's age grow.
 func (r *relLamellae) unackedFrames(src int) (total int, oldest time.Duration) {
 	now := telemetry.MonoNow()
-	capF, _ := r.windowCaps()
 	var oldestNs int64
 	for dst := 0; dst < r.npes; dst++ {
 		if dst == src {
@@ -520,7 +496,7 @@ func (r *relLamellae) unackedFrames(src int) (total int, oldest time.Duration) {
 		}
 		p := r.pairs[src][dst]
 		p.mu.Lock()
-		r.pruneLocked(p, src, capF)
+		r.pruneLocked(p, src)
 		total += len(p.unacked) + len(p.pending)
 		if len(p.unacked) > 0 {
 			if age := now - p.unacked[0].frame().firstNs; age > oldestNs {
@@ -588,7 +564,7 @@ func (r *relLamellae) releaseFrame(e frameRef) {
 // slab/frame pools, credits the congestion window for cleanly acked
 // frames, and feeds Karn-valid round trips into the stream's RTT
 // estimator. Caller holds p.mu.
-func (r *relLamellae) pruneLocked(p *relPair, src, capF int) {
+func (r *relLamellae) pruneLocked(p *relPair, src int) {
 	acked := p.ackedTo.Load()
 	ackNs := p.ackNs.Load()
 	i, sampled := 0, false
@@ -608,9 +584,7 @@ func (r *relLamellae) pruneLocked(p *relPair, src, capF int) {
 	}
 	if i > 0 {
 		p.unacked = append(p.unacked[:0], p.unacked[i:]...)
-		if capF > 0 {
-			p.win.onAck(i, capF)
-		}
+		p.win.onAck(i, r.capF)
 	}
 	if sampled {
 		p.rtoNs.Store(p.est.rto(r.rtoMinNs, r.backoffMax.Nanoseconds()))
@@ -778,7 +752,7 @@ func (r *relLamellae) onDeliver(dst, src int, ref slab.Ref, msg []byte) {
 		r.kickDrain()
 		return
 	case seq > next:
-		if r.oooWindow > 0 && seq >= next+r.oooWindow {
+		if seq >= next+r.oooWindow {
 			// Beyond the reorder window: drop rather than buffer, keeping
 			// receiver memory flat under sustained reordering. The
 			// sender's repair path re-sends the frame once the gap closes.
@@ -915,7 +889,6 @@ func (r *relLamellae) drainLoop() {
 		// delay from now; -1 when none.
 		wait := int64(-1)
 		now := telemetry.MonoNow()
-		capF, capB := r.windowCaps()
 		for pe := 0; pe < r.npes; pe++ {
 			for peer := 0; peer < r.npes; peer++ {
 				if pe == peer {
@@ -924,11 +897,11 @@ func (r *relLamellae) drainLoop() {
 				p := r.pairs[pe][peer]
 				if p.needDrain.Swap(false) {
 					p.mu.Lock()
-					r.pruneLocked(p, pe, capF)
+					r.pruneLocked(p, pe)
 					if p.fastRetx.Swap(false) {
 						r.fastRetransmitLocked(p, pe, peer, now)
 					}
-					r.drainPairLocked(p, pe, peer, now, capF, capB)
+					r.drainPairLocked(p, pe, peer, now)
 					p.mu.Unlock()
 				}
 				rs := r.recv[pe][peer]
@@ -1074,13 +1047,12 @@ func (r *relLamellae) retryLoop() {
 // parked frames into whatever window space the sweep freed.
 func (r *relLamellae) sweepPair(src, dst int, nowNs int64) {
 	p := r.pairs[src][dst]
-	capF, capB := r.windowCaps()
 	p.mu.Lock()
 	if len(p.unacked) == 0 && len(p.pending) == 0 {
 		p.mu.Unlock()
 		return
 	}
-	r.pruneLocked(p, src, capF)
+	r.pruneLocked(p, src)
 	// Fresh selective-ack hint, if any: expired frames the peer advertises
 	// holding get their timer re-armed instead of a retransmission —
 	// re-sending them would be go-back-N waste when the link needs only
@@ -1114,9 +1086,7 @@ func (r *relLamellae) sweepPair(src, dst int, nowNs int64) {
 		}
 		fr.deadlineNs = nowNs + fr.backoffNs
 		fr.sentNs = nowNs
-		if capF > 0 {
-			p.win.onLoss(fr.seq, p.nextSeq)
-		}
+		p.win.onLoss(fr.seq, p.nextSeq)
 		r.counters[src].retries.Add(1)
 		r.emitWire(telemetry.EvWireRetry, src, int64(dst), int64(fr.seq), 0)
 		r.transmit(src, dst, fr.buf, fr.seq)
@@ -1146,7 +1116,7 @@ func (r *relLamellae) sweepPair(src, dst int, nowNs int64) {
 		}
 		p.pending = keepP
 	}
-	r.drainPairLocked(p, src, dst, nowNs, capF, capB)
+	r.drainPairLocked(p, src, dst, nowNs)
 	p.mu.Unlock()
 	// Reconcile outside the pair lock: the handler touches world state
 	// (futures, completion accounting) and must not nest under it.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/serde"
+	"repro/internal/telemetry"
 )
 
 // ----- test AM types -----------------------------------------------------
@@ -442,14 +443,17 @@ func TestSMPWorldBuilder(t *testing.T) {
 	w.env.close()
 }
 
-func TestAggMaxOpsFlushes(t *testing.T) {
-	// With AggMaxOps=1 every op flushes immediately; semantics unchanged.
+func TestAggThresholdOneFlushesEachAM(t *testing.T) {
+	// A one-byte threshold ships every envelope in its own batch;
+	// semantics unchanged.
 	testCounter.Store(0)
-	err := Run(Config{PEs: 2, WorkersPerPE: 1, Lamellae: LamellaeSim, AggMaxOps: 1}, func(w *World) {
+	var bySize uint64
+	err := Run(Config{PEs: 2, WorkersPerPE: 1, Lamellae: LamellaeSim, AggThresholdBytes: 1}, func(w *World) {
 		if w.MyPE() == 0 {
 			for i := 0; i < 50; i++ {
 				w.ExecAM(1, &incrAM{Delta: 2})
 			}
+			bySize = w.Stats().BatchFlushReasons[telemetry.FlushSize]
 			w.WaitAll()
 		}
 		w.Barrier()
@@ -459,6 +463,9 @@ func TestAggMaxOpsFlushes(t *testing.T) {
 	}
 	if testCounter.Load() != 100 {
 		t.Errorf("counter = %d", testCounter.Load())
+	}
+	if bySize < 50 {
+		t.Errorf("size-triggered batches = %d, want every one of the 50 AMs shipped alone", bySize)
 	}
 }
 

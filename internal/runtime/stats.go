@@ -35,7 +35,7 @@ type Stats struct {
 	PoolBusy     time.Duration
 	// BatchesSent counts aggregated envelope batches this PE put on the
 	// wire; BatchFlushReasons splits them by trigger, indexed by
-	// telemetry.FlushReason (size threshold, op cap, drain cycle, timer).
+	// telemetry.FlushReason (size threshold, drain cycle, timer).
 	BatchesSent       uint64
 	BatchFlushReasons [telemetry.NumFlushReasons]uint64
 	// AggBatchesFlushed / AggOpsCoalesced surface the array-op
@@ -137,39 +137,6 @@ func (s Stats) String() string {
 		s.Fabric.Msgs, s.Fabric.Bytes, time.Duration(s.Fabric.ModeledNs))
 }
 
-// StatsReport extends Stats with the telemetry subsystem's latency
-// percentiles. With no active telemetry session the summaries are zero
-// (Count 0) and the embedded counters are still valid.
-type StatsReport struct {
-	Stats
-	// AMRoundTrip digests issue→resolution latency of return-style AMs.
-	AMRoundTrip telemetry.HistSummary
-	// QueueWait digests submit→start latency of pool tasks.
-	QueueWait telemetry.HistSummary
-	// FlushInterval digests the open→flush age of wire batches.
-	FlushInterval telemetry.HistSummary
-	// TraceDropped counts telemetry events lost to ring contention.
-	TraceDropped uint64
-}
-
-// StatsReport snapshots the PE's counters plus, when telemetry is
-// active, its latency histogram summaries.
-func (w *World) StatsReport() StatsReport {
-	r := StatsReport{Stats: w.Stats()}
-	if c := telemetry.C(); c != nil && w.pe < c.NumPEs() {
-		r.AMRoundTrip = c.Hist(w.pe, telemetry.HistAMRoundTrip).Summary()
-		r.QueueWait = c.Hist(w.pe, telemetry.HistQueueWait).Summary()
-		r.FlushInterval = c.Hist(w.pe, telemetry.HistFlushInterval).Summary()
-		r.TraceDropped = c.Dropped(w.pe)
-	}
-	return r
-}
-
-func (r StatsReport) String() string {
-	return fmt.Sprintf("%s\n  am_round_trip: %v\n  task_queue_wait: %v\n  flush_interval: %v",
-		r.Stats, r.AMRoundTrip, r.QueueWait, r.FlushInterval)
-}
-
 // ApplyEnv overlays LAMELLAR_* environment variables onto a Config,
 // mirroring the runtime knobs the Rust implementation reads from the
 // environment:
@@ -180,7 +147,8 @@ func (r StatsReport) String() string {
 //	LAMELLAR_LAMELLAE    sim | shmem | smp
 //	LAMELLAR_RING_SLOTS  descriptor ring depth (sim lamellae)
 //	LAMELLAR_TRACE       1/true enables the telemetry subsystem
-//	                     (lifecycle tracing, histograms, gauges)
+//	                     (lifecycle tracing, gauges); the latency
+//	                     histograms are always on (flight recorder)
 //	LAMELLAR_TRACE_OUT   path for the Chrome trace-event JSON timeline
 //	                     written at world shutdown (implies telemetry on);
 //	                     open it in Perfetto (ui.perfetto.dev)
@@ -218,22 +186,8 @@ func (r StatsReport) String() string {
 //	LAMELLAR_DELIVERY_TIMEOUT_MS  per-frame delivery give-up bound in ms
 //	                           (negative disables: retry forever)
 //
-// Wire flow-control knobs (read in withDefaults, so they reach every
-// world in the process; see the README's wire flow-control table):
-//
-//	LAMELLAR_WIRE_WINDOW         AIMD send-window frame cap per
-//	                             (src,dst) stream (default 256;
-//	                             negative disables windowing)
-//	LAMELLAR_WIRE_WINDOW_BYTES   send-window byte cap (default 16 MiB)
-//	LAMELLAR_WIRE_ACK_EVERY      deliveries per forced cumulative ack
-//	                             (default 4; 1 acks every frame)
-//	LAMELLAR_WIRE_ACK_HOLDOFF_US max delay before an owed ack is sent
-//	                             standalone, in µs (default 250)
-//	LAMELLAR_WIRE_OOO            receiver reorder-buffer bound in frames
-//	                             (default 1024; negative disables)
-//	LAMELLAR_WIRE_RTO_MIN_US     floor for the RTT-adaptive
-//	                             retransmission timeout, in µs
-//	                             (default 500)
+// The reliable wire's flow-control settings (Config.Wire*) have no
+// environment knobs: set them in the Config.
 func (c Config) ApplyEnv() Config {
 	if v, ok := envInt("LAMELLAR_THREADS"); ok {
 		c.WorkersPerPE = v

@@ -7,18 +7,20 @@ import (
 	"testing"
 
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/recorder"
 )
 
 // TestTelemetryEndToEnd runs a two-PE world with the telemetry subsystem
-// on: lifecycle events must land in the rings, StatsReport must surface
-// latency summaries, and the timeline written at shutdown must be valid
-// Chrome trace JSON.
+// on: lifecycle events must land in the rings, the flight recorder must
+// carry the latency digests, and the timeline written at shutdown must
+// be valid Chrome trace JSON.
 func TestTelemetryEndToEnd(t *testing.T) {
 	testCounter.Store(0)
 	path := filepath.Join(t.TempDir(), "timeline.json")
 	cfg := Config{PEs: 2, WorkersPerPE: 2, Lamellae: LamellaeSim,
 		Telemetry: true, TraceOut: path}
-	var report StatsReport
+	var report Stats
+	var digests map[string]recorder.Digest
 	err := Run(cfg, func(w *World) {
 		if w.MyPE() == 0 {
 			for i := 0; i < 200; i++ {
@@ -31,7 +33,8 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		w.WaitAll()
 		w.Barrier()
 		if w.MyPE() == 0 {
-			report = w.StatsReport()
+			report = w.Stats()
+			digests = w.DiagSnapshot().Recorder.PEs[0].Hists
 		}
 		w.Barrier()
 	})
@@ -55,14 +58,10 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if reasons != report.BatchesSent {
 		t.Errorf("flush reasons sum to %d, batches sent %d", reasons, report.BatchesSent)
 	}
-	if report.AMRoundTrip.Count == 0 {
-		t.Error("no AM round-trip latency recorded")
-	}
-	if report.QueueWait.Count == 0 {
-		t.Error("no task queue-wait latency recorded")
-	}
-	if report.FlushInterval.Count == 0 {
-		t.Error("no flush-interval latency recorded")
+	for _, id := range []recorder.HistID{recorder.HistRoundTrip, recorder.HistQueueWait, recorder.HistBatchAge} {
+		if digests[id.String()].Count == 0 {
+			t.Errorf("no %s latency recorded", id)
+		}
 	}
 
 	raw, err := os.ReadFile(path)
@@ -89,20 +88,25 @@ func TestTelemetryEndToEnd(t *testing.T) {
 }
 
 // TestTelemetryDisabledIsInert checks the default path: no session, no
-// events, StatsReport still returns valid counters with empty summaries.
+// events, yet Stats counts and the flight recorder's digests fill anyway.
 func TestTelemetryDisabledIsInert(t *testing.T) {
 	testCounter.Store(0)
-	var report StatsReport
+	var report Stats
+	var digests map[string]recorder.Digest
 	err := Run(Config{PEs: 2, WorkersPerPE: 1, Lamellae: LamellaeSim}, func(w *World) {
 		if w.MyPE() == 0 {
 			for i := 0; i < 50; i++ {
 				w.ExecAM(1, &incrAM{Delta: 1})
 			}
+			if _, err := BlockOn(w, w.ExecAMReturn(1, &echoAM{X: 7})); err != nil {
+				panic(err)
+			}
 		}
 		w.WaitAll()
 		w.Barrier()
 		if w.MyPE() == 0 {
-			report = w.StatsReport()
+			report = w.Stats()
+			digests = w.DiagSnapshot().Recorder.PEs[0].Hists
 		}
 		w.Barrier()
 	})
@@ -112,14 +116,16 @@ func TestTelemetryDisabledIsInert(t *testing.T) {
 	if telemetry.Enabled() {
 		t.Fatal("telemetry enabled without being configured")
 	}
-	if report.Issued != 50 {
+	if report.Issued != 51 {
 		t.Errorf("issued = %d", report.Issued)
 	}
 	if report.BatchesSent == 0 {
 		t.Error("batch counters must work without telemetry")
 	}
-	if report.AMRoundTrip.Count != 0 || report.TraceDropped != 0 {
-		t.Errorf("summaries must be empty without telemetry: %+v", report)
+	for _, id := range []recorder.HistID{recorder.HistRoundTrip, recorder.HistBatchAge} {
+		if digests[id.String()].Count == 0 {
+			t.Errorf("recorder %s digest empty without a session: %+v", id, digests)
+		}
 	}
 }
 

@@ -48,7 +48,7 @@ func TestWireWindowNeverExceededUnderDrop(t *testing.T) {
 	defer r.close()
 
 	const frames = 3000
-	capF, _ := r.windowCaps()
+	capF := r.capF
 	if capF != 16 {
 		t.Fatalf("window cap = %d, want 16", capF)
 	}

@@ -93,7 +93,7 @@ type World struct {
 	aggReasons [telemetry.NumFlushReasons]atomic.Uint64
 
 	flushHookMu sync.Mutex
-	flushHooks  []func()
+	flushHooks  []*func() // copy-on-remove: runFlushHooks iterates a snapshot
 
 	// waitingSince is nonzero (a MonoNow stamp) while this PE's
 	// application goroutine is blocked in WaitAll; the watchdog pairs it
@@ -133,10 +133,26 @@ func (w *World) CountAggFlush(reason telemetry.FlushReason, ops int) {
 // array-op aggregation layer in particular — into the AM queues before
 // those queues go out on the wire. Hooks may run concurrently from
 // several goroutines and must tolerate having nothing to do.
-func (w *World) RegisterFlushHook(fn func()) {
+//
+// The returned function unregisters the hook, so whatever fn holds can
+// be collected once its owner is gone; a flush cycle already under way
+// may still run it once.
+func (w *World) RegisterFlushHook(fn func()) (remove func()) {
+	h := &fn
 	w.flushHookMu.Lock()
-	w.flushHooks = append(w.flushHooks, fn)
+	w.flushHooks = append(w.flushHooks, h)
 	w.flushHookMu.Unlock()
+	return func() {
+		w.flushHookMu.Lock()
+		defer w.flushHookMu.Unlock()
+		kept := make([]*func(), 0, len(w.flushHooks))
+		for _, x := range w.flushHooks {
+			if x != h {
+				kept = append(kept, x)
+			}
+		}
+		w.flushHooks = kept
+	}
 }
 
 func (w *World) runFlushHooks() {
@@ -144,7 +160,7 @@ func (w *World) runFlushHooks() {
 	hooks := w.flushHooks
 	w.flushHookMu.Unlock()
 	for _, h := range hooks {
-		h()
+		(*h)()
 	}
 }
 

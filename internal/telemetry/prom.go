@@ -6,11 +6,11 @@ import (
 	"io"
 )
 
-// WritePrometheus exports the collector's counters and histograms in the
-// Prometheus text exposition format (one series per PE via the pe label;
-// histograms use cumulative le buckets in seconds, the Prometheus
-// convention). Counters and histograms are atomics, so this is safe to
-// call while the world is running; only ring exports need quiescence.
+// WritePrometheus exports the session's event and drop counters in the
+// Prometheus text exposition format (one series per PE via the pe
+// label). The counters are atomics, so this is safe to call while the
+// world is running; only ring exports need quiescence. Latency
+// histograms live in the flight recorder (recorder.WritePrometheus).
 func (c *Collector) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 
@@ -30,26 +30,5 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(bw, "lamellar_trace_dropped_total{pe=\"%d\"} %d\n", pe, c.Dropped(pe))
 	}
 
-	for id := 0; id < numHists; id++ {
-		name := "lamellar_" + histNames[id] + "_seconds"
-		fmt.Fprintf(bw, "# HELP %s Latency histogram (log2 ns buckets).\n", name)
-		fmt.Fprintf(bw, "# TYPE %s histogram\n", name)
-		for pe := 0; pe < c.npes; pe++ {
-			h := &c.hists[pe][id]
-			buckets := h.Buckets()
-			var cum uint64
-			for i, n := range buckets {
-				cum += n
-				if n == 0 && i != histBuckets-1 {
-					continue // keep the dump compact: only buckets that moved
-				}
-				fmt.Fprintf(bw, "%s_bucket{pe=\"%d\",le=\"%g\"} %d\n",
-					name, pe, float64(BucketUpper(i))/1e9, cum)
-			}
-			fmt.Fprintf(bw, "%s_bucket{pe=\"%d\",le=\"+Inf\"} %d\n", name, pe, h.Count())
-			fmt.Fprintf(bw, "%s_sum{pe=\"%d\"} %g\n", name, pe, float64(h.Sum())/1e9)
-			fmt.Fprintf(bw, "%s_count{pe=\"%d\"} %d\n", name, pe, h.Count())
-		}
-	}
 	return bw.Flush()
 }

@@ -9,14 +9,18 @@
 // atomic adds into pre-allocated arrays — no allocation, no locks, no
 // time syscalls beyond the one stamp the caller already took.
 //
-// Three consumers read it:
+// It is the runtime's only owner of latency histograms: a telemetry
+// session adds events, not a second copy of each sample. Four consumers
+// read it:
 //
 //   - the stall watchdog derives its "N× p99" stall thresholds from the
 //     round-trip histogram;
 //   - the reliable wire seeds a cold stream's retransmission timeout
 //     from the wire round-trip histogram;
 //   - diagnostic dumps (World.WriteDiagnostics, the LAMELLAR_DIAG
-//     signal) export a structured JSON Snapshot.
+//     signal) export a structured JSON Snapshot;
+//   - World.WritePrometheus (and lamellar-trace -metrics) export the
+//     histograms in the Prometheus text format.
 package recorder
 
 import (

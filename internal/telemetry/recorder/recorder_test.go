@@ -1,7 +1,9 @@
 package recorder
 
 import (
+	"bytes"
 	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -89,5 +91,35 @@ func TestRecorderConcurrent(t *testing.T) {
 	}
 	if _, peak := r.PE(0).Unacked(); peak != 15 {
 		t.Errorf("unacked peak = %d, want 15", peak)
+	}
+}
+
+// The recorder's Prometheus export keeps the series names the session
+// collector used to own (am_round_trip, task_queue_wait,
+// agg_flush_interval), with cumulative buckets in seconds.
+func TestWritePrometheus(t *testing.T) {
+	r := New(2)
+	r.PE(0).Record(HistRoundTrip, 1500)
+	r.PE(0).Record(HistRoundTrip, 3000)
+	r.PE(1).Record(HistQueueWait, 0)
+	r.PE(1).Record(HistBatchAge, 2048)
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{
+		`# TYPE lamellar_am_round_trip_seconds histogram`,
+		`lamellar_am_round_trip_seconds_count{pe="0"} 2`,
+		`lamellar_am_round_trip_seconds_bucket{pe="0",le="+Inf"} 2`,
+		`lamellar_am_round_trip_seconds_bucket{pe="0",le="2.047e-06"} 1`,
+		`lamellar_am_round_trip_seconds_bucket{pe="0",le="4.095e-06"} 2`,
+		`lamellar_task_queue_wait_seconds_count{pe="1"} 1`,
+		`lamellar_agg_flush_interval_seconds_count{pe="1"} 1`,
+		`lamellar_wire_rtt_seconds_count{pe="0"} 0`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("prometheus dump missing %q:\n%s", want, out)
+		}
 	}
 }

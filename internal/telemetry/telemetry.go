@@ -3,8 +3,10 @@
 // spawn/run/steal (scheduler), AM issue/encode/execute/return (runtime),
 // aggregation batch open/flush with flush reasons (array layer), and
 // fabric op spans with byte counts — into per-PE lock-free ring buffers,
-// plus log-bucketed latency histograms (AM round trip, task queue wait,
-// aggregation flush interval) and periodic queue-depth gauges.
+// plus periodic queue-depth gauges. It also provides the log2-bucketed
+// Histogram type; the latency histograms themselves (AM round trip,
+// task queue wait, batch age, wire RTT) live in the always-on flight
+// recorder (package recorder), not in a session.
 //
 // The disabled path is a single branch on a package-level atomic
 // (Enabled()): no allocation, no time syscalls, no pointer chase. All
@@ -16,11 +18,10 @@
 //	}
 //
 // Collected data exports as Chrome trace-event JSON (loadable in
-// Perfetto with one track per PE×worker — see WriteChromeTrace), a
-// Prometheus-style text dump (WritePrometheus), and histogram summaries
-// consumed by runtime.StatsReport.
+// Perfetto with one track per PE×worker — see WriteChromeTrace) and a
+// Prometheus-style dump of the event and drop counters (WritePrometheus).
 //
-// Concurrency contract: Emit and histogram/counter recording are safe
+// Concurrency contract: Emit and counter recording are safe
 // from any goroutine at any time. Ring snapshots and the exporters must
 // run at a quiescent point (after runtime.Run returned, or with the
 // world at a barrier) — a ring writer lapping a concurrent reader would
@@ -262,20 +263,6 @@ var spanIDs atomic.Uint64
 // NewSpanID returns a fresh process-unique span id.
 func NewSpanID() uint64 { return spanIDs.Add(1) }
 
-// Histogram identifiers (per PE).
-const (
-	// HistAMRoundTrip is issue→resolution latency of return-style AMs.
-	HistAMRoundTrip = iota
-	// HistQueueWait is submit→start latency of pool tasks.
-	HistQueueWait
-	// HistFlushInterval is open→flush age of aggregation buffers.
-	HistFlushInterval
-
-	numHists
-)
-
-var histNames = [numHists]string{"am_round_trip", "task_queue_wait", "agg_flush_interval"}
-
 // procStart anchors the process-monotonic event clock. Every telemetry
 // timestamp — session events, the always-on flight recorder, AM issue
 // stamps — shares this one time base, so latencies computed across
@@ -287,13 +274,12 @@ var procStart = time.Now()
 // always-on instrumentation (the flight recorder, AM issue stamps).
 func MonoNow() int64 { return int64(time.Since(procStart)) }
 
-// Collector owns the per-PE rings, histograms, and counters of one
-// telemetry session.
+// Collector owns the per-PE rings and event counters of one telemetry
+// session.
 type Collector struct {
 	npes     int
 	rings    []Ring
-	hists    [][numHists]Histogram // [pe][hist]
-	evCounts []eventCounters       // [pe][kind], survives ring wraparound
+	evCounts []eventCounters // [pe][kind], survives ring wraparound
 }
 
 type eventCounters [numEventKinds]atomic.Uint64
@@ -313,7 +299,6 @@ func NewCollector(npes, ringCap int) *Collector {
 	c := &Collector{
 		npes:     npes,
 		rings:    make([]Ring, npes),
-		hists:    make([][numHists]Histogram, npes),
 		evCounts: make([]eventCounters, npes),
 	}
 	for pe := range c.rings {
@@ -338,14 +323,6 @@ func (c *Collector) Emit(ev Event) {
 	}
 	c.evCounts[pe][ev.Kind].Add(1)
 	c.rings[pe].push(ev)
-}
-
-// Hist returns PE pe's histogram id (see the Hist* constants).
-func (c *Collector) Hist(pe, id int) *Histogram {
-	if pe < 0 || pe >= c.npes {
-		pe = 0
-	}
-	return &c.hists[pe][id]
 }
 
 // EventCount reports how many events of kind were emitted on pe over the
