@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race check bench agg-bench bench-sched bench-wire bench-kv wire-smoke kv-smoke sched-stress trace-smoke watchdog-smoke fault-stress bench-allocs taskbench-smoke bench-taskbench bench-gate bench-gate-run bench-baseline benchmark-test lint
+.PHONY: build vet test race check bench agg-bench bench-sched bench-wire bench-kv wire-smoke kv-smoke sched-stress trace-smoke watchdog-smoke fault-stress bench-allocs taskbench-smoke bench-taskbench bench-gate bench-gate-run bench-baseline benchmark-test fuzz-smoke lint
 
 build:
 	$(GO) build ./...
@@ -75,13 +75,19 @@ kv-smoke:
 	@grep -q -- '--- PASS: TestKVSmokeFaultedLedgerExact' /tmp/kv-smoke.out || \
 		{ echo "check: TestKVSmokeFaultedLedgerExact did not run/pass" >&2; exit 1; }
 
+# Element-op frame decoder fuzz smoke: aggAM is the only wire format for
+# array element ops, so arbitrary bytes through its decoder and receive
+# kernel, on a small array of every kind, must never panic.
+fuzz-smoke:
+	$(GO) test -run xxx -fuzz FuzzAggAMApply -fuzztime=10s ./internal/array
+
 # The repo benchmark (benchmark/) is a nested module, so the root
 # `go test ./...` does not reach its tests; run them from inside it.
 benchmark-test:
 	cd benchmark && $(GO) test -count=1 ./...
 
 # Tier-1 gate: everything that must stay green before a change lands.
-check: build vet race sched-stress taskbench-smoke fault-stress wire-smoke kv-smoke trace-smoke watchdog-smoke bench-allocs benchmark-test
+check: build vet race sched-stress taskbench-smoke fault-stress wire-smoke kv-smoke trace-smoke watchdog-smoke bench-allocs benchmark-test fuzz-smoke
 
 # Lint gate (CI `lint` job): formatting must be canonical and vet clean.
 lint:
@@ -125,7 +131,7 @@ bench-baseline: bench-gate-run
 bench-taskbench:
 	$(GO) run ./cmd/lamellar-bench taskbench
 
-# Aggregated vs direct array-op micro-benchmarks (FIG2A companion).
+# Aggregated array-op micro-benchmarks (FIG2A companion).
 agg-bench:
 	$(GO) test -run xxx -bench 'AtomicOps' -benchmem -count=1 .
 
@@ -146,8 +152,8 @@ bench-wire:
 
 # KV serving benchmark (bench_results.txt §KV): open-loop Zipfian mix
 # against the sharded store on clean / 5% faulted / partition-and-heal
-# fabrics, direct (seed) vs aggregated dispatch, coordinated-omission-
-# safe p50/p99/p999 plus achieved-vs-offered throughput.
+# fabrics, coordinated-omission-safe p50/p99/p999 plus achieved-vs-
+# offered throughput.
 bench-kv:
 	$(GO) run ./cmd/lamellar-bench kv
 

@@ -436,18 +436,13 @@ func BenchmarkAtomicArrayBatchAdd(b *testing.B) {
 }
 
 // benchAtomicOps fires single-element fire-and-forget Adds at the remote
-// PE and quiesces with WaitAll, measuring the array op path end to end.
-// agg toggles the destination aggregation layer (ISSUE 1), isolating its
-// effect on wall time and allocations: aggregated ops share one buffered
-// AM per flush where the direct path pays an envelope per op.
-func benchAtomicOps(b *testing.B, agg, telemetry bool) {
+// PE and quiesces with WaitAll, measuring the aggregated array op path
+// end to end: the ops share one buffered AM per flush.
+func benchAtomicOps(b *testing.B, telemetry bool) {
 	const tableLen = 8192
 	const opsPerIter = 2048
 	cfg := runtime.Config{PEs: 2, WorkersPerPE: 2, Lamellae: runtime.LamellaeSim,
 		Telemetry: telemetry}
-	if !agg {
-		cfg.AggBufSize = -1
-	}
 	err := runtime.Run(cfg, func(w *runtime.World) {
 		a := lamellar.NewAtomicArray[uint64](w.Team(), tableLen, lamellar.Block)
 		defer a.Drop()
@@ -475,9 +470,7 @@ func benchAtomicOps(b *testing.B, agg, telemetry bool) {
 	}
 }
 
-func BenchmarkAtomicOpsAggregated(b *testing.B) { benchAtomicOps(b, true, false) }
-
-func BenchmarkAtomicOpsDirect(b *testing.B) { benchAtomicOps(b, false, false) }
+func BenchmarkAtomicOpsAggregated(b *testing.B) { benchAtomicOps(b, false) }
 
 // BenchmarkAtomicOpsAggregatedTraced is the aggregated path with the
 // telemetry subsystem live — rings, histograms, and gauges all active.
@@ -485,4 +478,4 @@ func BenchmarkAtomicOpsDirect(b *testing.B) { benchAtomicOps(b, false, false) }
 // the disabled-mode delta (Aggregated vs. the PR 1 baseline, both with
 // telemetry compiled in but off) is the number bench_results.txt tracks
 // against the 2% budget.
-func BenchmarkAtomicOpsAggregatedTraced(b *testing.B) { benchAtomicOps(b, true, true) }
+func BenchmarkAtomicOpsAggregatedTraced(b *testing.B) { benchAtomicOps(b, true) }

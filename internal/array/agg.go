@@ -13,23 +13,29 @@ import (
 
 // Operation aggregation layer (§IV-B / Fig. 5): element ops on
 // AtomicArray/LocalLockArray/UnsafeArray coalesce into per-destination
-// buffers so many small ops ride one AM envelope instead of paying a full
+// frames so many small ops ride one AM envelope instead of paying a full
 // envelope, encode, and allocation each. Contiguous same-destination
 // index runs collapse into a single run-length entry, so a contiguous
-// batch of N ops costs O(1) buffer entries and the payload moves through
-// the zero-copy serde fast path on both sides.
+// batch of N ops costs O(1) frame entries and the payload moves through
+// the zero-copy serde fast path on both sides. aggAM is the only wire
+// format for element ops and applyAggBatch the only receive kernel.
 //
-// Buffers flush when they cross Config.AggBufSize estimated payload
-// bytes or Config.AggFlushOps buffered element ops, on every World flush
-// cycle (WaitAll, Barrier, BlockOn, the background flusher — wired via
+// The size of a call picks who owns the frames. Scalar ops and calls of
+// fewer than Config.ArrayBatchSize indices share one locked frame per
+// destination, which flushes on every World flush cycle (WaitAll,
+// Barrier, BlockOn, the background flusher — wired via
 // World.RegisterFlushHook), when a caller awaits a buffered op's future
 // (via the future's await hook), and on explicit FlushBatches calls.
+// Larger calls fill private, unlocked frames that all ship before the
+// call returns. Every frame also ships once it holds
+// Config.AggThresholdBytes estimated payload bytes or
+// Config.ArrayBatchSize element ops.
 //
-// Ordering: entries buffered for the same destination apply there
-// sequentially in submission order within one flush; ops in different
-// flushes or to different destinations are unordered with respect to
-// each other, exactly like independent AMs. Fetch-style results route
-// back to each originating op's future in submission order.
+// Ordering: entries in the same frame apply at the destination
+// sequentially in submission order; ops in different frames or to
+// different destinations are unordered with respect to each other,
+// exactly like independent AMs. Fetch-style results route back to each
+// originating op's future in submission order.
 //
 // Large range transfers (Put/Get and friends) bypass this layer: they
 // already travel as single rangePutAM/rangeGetAM payloads or cross over
@@ -46,16 +52,18 @@ const (
 // byte + fixed-width start and count) for the flush-threshold check.
 const aggEntryOverhead = 17
 
-// aggRoute remembers where one buffered entry's results go. A nil cd
-// means the entry came through the fire-and-forget scalar path: it is
-// tracked by the aggregator's shared pending counter (and shared
-// condition future) instead of a per-op countdown.
+// aggRoute remembers where one buffered entry's results go. In a shared
+// frame a nil cd means the entry came through the fire-and-forget scalar
+// path: it is tracked by the aggregator's shared pending counter (and
+// shared condition future) instead of a per-op countdown. Private frames
+// complete through the frame's own countdown and keep routes only for
+// fetch results.
 type aggRoute[T serde.Number] struct {
 	cd  *scheduler.Countdown[[]T]
 	out []T // fetch results land here; nil when the entry returns nothing
 }
 
-// aggBatch is one destination's buffer: columnar entry metadata plus the
+// aggBatch is one destination's frame: columnar entry metadata plus the
 // packed operand values, built to serialize with PutNumericSlice.
 type aggBatch[T serde.Number] struct {
 	ops    []uint8
@@ -69,9 +77,17 @@ type aggBatch[T serde.Number] struct {
 	openNs int64 // telemetry clock when the first op landed (0 = untraced)
 	fetch  bool
 
-	// am and onDone are the batch's recycled launch state: the AM struct
+	// cd is set on a large call's private frame: the frame holds one
+	// reservation on the call's countdown instead of one per entry.
+	cd *scheduler.Countdown[[]T]
+	// alias marks a one-entry frame whose vals alias the caller's slice;
+	// it is never recycled, so no later append can write into caller
+	// memory.
+	alias bool
+
+	// am and onDone are the frame's recycled launch state: the AM struct
 	// the columns serialize through and the completion callback bound once
-	// when the batch object was created, so dispatching a flushed buffer
+	// when the frame object was created, so dispatching a flushed frame
 	// allocates neither.
 	am     aggAM[T]
 	onDone func(any, error)
@@ -79,22 +95,23 @@ type aggBatch[T serde.Number] struct {
 
 // resolveBatch routes an aggAM's results (or error) back to every
 // buffered entry, in submission order: per-op countdowns for routed
-// entries, the shared pending counter for fire-and-forget ones.
+// entries, the shared pending counter for fire-and-forget ones, the
+// frame's countdown for a private frame.
 func (g *aggregator[T]) resolveBatch(b *aggBatch[T], res []T, err error) {
 	ri := 0
 	shared := int64(0)
-	for k := range b.routes {
-		r := b.routes[k]
+	for _, r := range b.routes {
 		if err == nil && r.out != nil {
-			cnt := int(b.counts[k])
-			copy(r.out, res[ri:ri+cnt])
-			ri += cnt
+			ri += copy(r.out, res[ri:])
 		}
 		if r.cd != nil {
 			r.cd.Done(err)
-		} else {
+		} else if b.cd == nil {
 			shared++
 		}
+	}
+	if b.cd != nil {
+		b.cd.Done(err)
 	}
 	if shared > 0 {
 		if err != nil {
@@ -119,15 +136,17 @@ type aggShard[T serde.Number] struct {
 	b  *aggBatch[T]
 }
 
-// aggregator is one PE's aggregation state for one array: a buffer per
-// destination team rank, plus a recycle pool so steady-state traffic
-// reuses batch column storage instead of reallocating it per flush.
+// aggregator is one PE's aggregation state for one array: a shared frame
+// per destination team rank, plus a recycle pool so steady-state traffic
+// reuses frame column storage instead of reallocating it per flush.
 type aggregator[T serde.Number] struct {
 	st     *sharedState[T]
 	w      *runtime.World
 	team   *runtime.Team
 	elemSz int
-	// Flush thresholds, Config.AggBufSize and Config.AggFlushOps.
+	// Frame thresholds: Config.AggThresholdBytes and
+	// Config.ArrayBatchSize. flushOps is also the call size from which
+	// batchOp fills private frames.
 	bufSize  int
 	flushOps int
 	flushFn  func() // FlushBatches method value, bound once (await hooks)
@@ -166,8 +185,8 @@ func (c *core[T]) agg() *aggregator[T] {
 		w:        c.w,
 		team:     c.team,
 		elemSz:   serde.SizeOf[T](),
-		bufSize:  cfg.AggBufSize,
-		flushOps: cfg.AggFlushOps,
+		bufSize:  cfg.AggThresholdBytes,
+		flushOps: cfg.ArrayBatchSize,
 		shards:   make([]aggShard[T], c.team.Size()),
 	}
 	g.spares.New = func() any {
@@ -202,15 +221,28 @@ func (c *core[T]) flushAgg() {
 	}
 }
 
-func (g *aggregator[T]) getBatch() *aggBatch[T] {
-	return g.spares.Get().(*aggBatch[T])
+// open stamps an empty frame for rank with its telemetry open time;
+// owner-local frames never reach the wire and stay unstamped.
+func (g *aggregator[T]) open(rank int, b *aggBatch[T]) *aggBatch[T] {
+	if !telemetry.Enabled() || g.team.WorldPE(rank) == g.w.MyPE() {
+		return b
+	}
+	if tc := telemetry.C(); tc != nil {
+		b.openNs = tc.Now()
+		tc.Emit(telemetry.Event{
+			TS: b.openNs, Kind: telemetry.EvBatchOpen,
+			PE: int32(g.w.MyPE()), Worker: telemetry.TidRuntime,
+			Arg1: int64(g.team.WorldPE(rank)),
+		})
+	}
+	return b
 }
 
-// putBatch recycles a resolved batch's column storage. Batches that grew
-// unusually large (CAS runs are never bypassed, so they can exceed the
-// byte threshold) are dropped instead of pinning the memory.
+// putBatch recycles a resolved frame's column storage. Aliasing frames
+// and frames whose values outgrew 1 MiB (a run is never split across
+// frames, so one run can exceed the thresholds) are dropped instead.
 func (g *aggregator[T]) putBatch(b *aggBatch[T]) {
-	if cap(b.vals)*g.elemSz > 1<<20 {
+	if b.alias || cap(b.vals)*g.elemSz > 1<<20 {
 		return
 	}
 	for i := range b.routes {
@@ -218,13 +250,14 @@ func (g *aggregator[T]) putBatch(b *aggBatch[T]) {
 	}
 	b.ops, b.starts, b.counts = b.ops[:0], b.starts[:0], b.counts[:0]
 	b.vals, b.casOld, b.routes = b.vals[:0], b.casOld[:0], b.routes[:0]
-	b.nops, b.bytes, b.openNs, b.fetch = 0, 0, 0, false
+	b.nops, b.bytes, b.openNs, b.fetch, b.cd = 0, 0, 0, false, nil
 	g.spares.Put(b)
 }
 
-// FlushBatches drains every destination's buffer into the AM queues. It
-// runs from World flush cycles and future await hooks; explicit calls
-// are only needed to bound the latency of fire-and-forget ops.
+// FlushBatches drains every destination's shared frame into the AM
+// queues. It runs from World flush cycles and future await hooks;
+// explicit calls are only needed to bound the latency of
+// fire-and-forget ops.
 func (g *aggregator[T]) FlushBatches() {
 	for rank := range g.shards {
 		sh := &g.shards[rank]
@@ -238,10 +271,9 @@ func (g *aggregator[T]) FlushBatches() {
 	}
 }
 
-// dispatch ships one detached buffer to its destination. The batch is
-// recycled once its completion resolved: the AM was serialized during
-// launch (aggregated destinations are always remote), so nothing else
-// references its column storage afterwards.
+// dispatch ships one detached frame to its remote destination. The frame
+// is recycled once its completion resolved: the AM was serialized during
+// launch, so nothing else references its column storage afterwards.
 func (g *aggregator[T]) dispatch(rank int, b *aggBatch[T], reason telemetry.FlushReason) {
 	g.w.CountAggFlush(reason, b.nops)
 	if tc := telemetry.C(); tc != nil && b.openNs > 0 {
@@ -265,40 +297,41 @@ func (g *aggregator[T]) dispatch(rank int, b *aggBatch[T], reason telemetry.Flus
 		Vals:    b.vals,
 		CasOld:  b.casOld,
 	}
-	// The batch's pre-bound callback resolves routes and recycles the
-	// batch; the AM serializes synchronously during launch, so reusing
+	// The frame's pre-bound callback resolves routes and recycles the
+	// frame; the AM serializes synchronously during launch, so reusing
 	// b.am and the column storage afterwards is safe.
 	g.w.ExecAMCallback(g.team.WorldPE(rank), &b.am, b.onDone)
 }
 
-// append buffers one run for rank, flushing the shard if it crossed a
-// threshold. evals is the run's values (len 1 means broadcast when the
-// broadcast flag is set); eout, when non-nil, receives previous values.
-// A nil cd tracks the run on the shared pending counter instead.
-func (g *aggregator[T]) append(rank int, op Op, local, n int, broadcast bool,
+// ship sends a full or finished private frame to rank, or applies it
+// inline when rank is this PE: owner-local frames never touch the wire.
+func (g *aggregator[T]) ship(rank int, b *aggBatch[T], reason telemetry.FlushReason) {
+	if pe := g.team.WorldPE(rank); pe == g.w.MyPE() {
+		res, err := g.st.applyAggBatch(pe, rank, b.ops, b.starts, b.counts, b.vals, b.casOld)
+		g.resolveBatch(b, res, err)
+		g.putBatch(b)
+		return
+	}
+	g.dispatch(rank, b, reason)
+}
+
+// full reports whether b reached a flush threshold, and which.
+func (g *aggregator[T]) full(b *aggBatch[T]) (telemetry.FlushReason, bool) {
+	switch {
+	case b.nops >= g.flushOps:
+		return telemetry.FlushOps, true
+	case b.bytes >= g.bufSize:
+		return telemetry.FlushSize, true
+	}
+	return 0, false
+}
+
+// add appends one run to b's columns. evals is the run's values (len 1
+// means broadcast when the broadcast flag is set); eout, when non-nil,
+// receives previous values. A route is kept unless b is a private frame
+// and the entry returns nothing.
+func (b *aggBatch[T]) add(op Op, local, n int, broadcast bool,
 	evals, ecas, eout []T, cd *scheduler.Countdown[[]T], elemSz int) {
-	if cd != nil {
-		cd.Add(1)
-	} else {
-		g.pending.Add(1)
-	}
-	sh := &g.shards[rank]
-	sh.mu.Lock()
-	b := sh.b
-	if b == nil {
-		b = g.getBatch()
-		sh.b = b
-		if telemetry.Enabled() {
-			if tc := telemetry.C(); tc != nil {
-				b.openNs = tc.Now()
-				tc.Emit(telemetry.Event{
-					TS: b.openNs, Kind: telemetry.EvBatchOpen,
-					PE: int32(g.w.MyPE()), Worker: telemetry.TidRuntime,
-					Arg1: int64(g.team.WorldPE(rank)),
-				})
-			}
-		}
-	}
 	flags := uint8(op)
 	if eout != nil {
 		flags |= entryFetch
@@ -337,69 +370,92 @@ func (g *aggregator[T]) append(rank int, op Op, local, n int, broadcast bool,
 	b.ops = append(b.ops, flags)
 	b.starts = append(b.starts, int64(local))
 	b.counts = append(b.counts, int64(n))
-	b.routes = append(b.routes, aggRoute[T]{cd: cd, out: eout})
+	if b.cd == nil || eout != nil {
+		b.routes = append(b.routes, aggRoute[T]{cd: cd, out: eout})
+	}
 	b.nops += n
 	b.bytes += aggEntryOverhead + nv*elemSz
-	var detached *aggBatch[T]
-	reason := telemetry.FlushSize
-	if b.nops >= g.flushOps {
-		detached, reason = b, telemetry.FlushOps
-		sh.b = nil
-	} else if b.bytes >= g.bufSize {
-		detached = b
-		sh.b = nil
-	}
-	sh.mu.Unlock()
-	if detached != nil {
-		g.dispatch(rank, detached, reason)
-	}
 }
 
-// dispatchRun ships one large run as its own immediate single-entry
-// batch, aliasing the caller's value/output slices instead of copying
-// them through a buffer: a run this size would trip a flush threshold by
-// itself, so buffering would only add a memmove (the same aliasing
-// contract putRange uses). The shard's pending buffer is flushed first
-// to keep destination application roughly in submission order. CAS and
-// broadcast runs never take this path — they need operand expansion.
-func (g *aggregator[T]) dispatchRun(rank int, op Op, local, n int,
-	evals, eout []T, cd *scheduler.Countdown[[]T]) {
-	cd.Add(1)
+// append buffers one run in rank's shared frame, flushing the frame if
+// it crossed a threshold. A nil cd tracks the run on the shared pending
+// counter instead of a countdown.
+func (g *aggregator[T]) append(rank int, op Op, local, n int,
+	evals, ecas, eout []T, cd *scheduler.Countdown[[]T], broadcast bool) {
+	if cd != nil {
+		cd.Add(1)
+	} else {
+		g.pending.Add(1)
+	}
 	sh := &g.shards[rank]
 	sh.mu.Lock()
 	b := sh.b
-	sh.b = nil
+	if b == nil {
+		b = g.open(rank, g.spares.Get().(*aggBatch[T]))
+		sh.b = b
+	}
+	b.add(op, local, n, broadcast, evals, ecas, eout, cd, g.elemSz)
+	reason, full := g.full(b)
+	if full {
+		sh.b = nil
+	}
 	sh.mu.Unlock()
-	if b != nil {
-		g.dispatch(rank, b, telemetry.FlushDrain)
+	if full {
+		g.dispatch(rank, b, reason)
 	}
-	g.w.CountAggFlush(telemetry.FlushRun, n)
-	flags := uint8(op)
-	if eout != nil {
-		flags |= entryFetch
-	}
-	am := &aggAM[T]{
-		ID:      g.st.id,
-		WantOut: eout != nil,
-		Ops:     []uint8{flags},
-		Starts:  []int64{int64(local)},
-		Counts:  []int64{int64(n)},
-		Vals:    evals,
-	}
-	runtime.ExecTyped[[]T](g.w, g.team.WorldPE(rank), am).OnDone(func(res []T, err error) {
-		if err == nil && eout != nil {
-			copy(eout, res)
-		}
-		cd.Done(err)
-	})
 }
 
-// aggSubmit is the aggregated batchOp path: it splits idxs into maximal
-// contiguous same-destination runs, applies owner-local runs inline, and
-// buffers remote runs per destination. The returned future resolves once
-// every run completed, with previous values in input order for
-// fetch-style ops, and carries an await hook that flushes the buffers.
-func (c *core[T]) aggSubmit(op Op, fetch bool, idxs []int, vals, casOld []T) *scheduler.Future[[]T] {
+// addPrivate adds one run to a large call's own frame for rank, shipping
+// the frame once it is full. A run that fills a frame by itself ships at
+// once as a one-entry frame whose values alias the caller's slice, which
+// saves a copy of the whole run; CAS and broadcast runs need their
+// operands expanded, so they always go through frame columns.
+func (g *aggregator[T]) addPrivate(frames []*aggBatch[T], rank int, op Op, local, n int,
+	evals, ecas, eout []T, cd *scheduler.Countdown[[]T], broadcast bool) {
+	if op != OpCAS && !broadcast && (n >= g.flushOps || n*g.elemSz >= g.bufSize) {
+		b := g.open(rank, g.spares.New().(*aggBatch[T]))
+		b.cd, b.alias, b.vals = cd, true, evals
+		cd.Add(1)
+		// nil evals: the values are already in place as the alias.
+		b.add(op, local, n, false, nil, nil, eout, nil, g.elemSz)
+		reason, _ := g.full(b)
+		g.ship(rank, b, reason)
+		return
+	}
+	b := frames[rank]
+	if b == nil {
+		b = g.open(rank, g.spares.Get().(*aggBatch[T]))
+		b.cd = cd
+		cd.Add(1)
+		frames[rank] = b
+	}
+	b.add(op, local, n, broadcast, evals, ecas, eout, nil, g.elemSz)
+	if reason, full := g.full(b); full {
+		frames[rank] = nil
+		g.ship(rank, b, reason)
+	}
+}
+
+// batchOp is the element-op path behind every multi-index API method: it
+// splits idxs into maximal contiguous same-destination runs and routes
+// each to a frame. Calls of fewer than ArrayBatchSize indices apply
+// owner-local runs inline and buffer remote runs in the shared frames;
+// the returned future carries an await hook that flushes them. Larger
+// calls fill private frames, owner-local ones included, and ship them
+// all before returning. The future resolves once every run completed,
+// with previous values in input order for fetch-style ops.
+func (c *core[T]) batchOp(op Op, fetch bool, idxs []int, vals, casOld []T) *scheduler.Future[[]T] {
+	if len(vals) > 1 && len(vals) != len(idxs) {
+		panic(fmt.Sprintf("array: %d values for %d indices", len(vals), len(idxs)))
+	}
+	if op == OpCAS && len(casOld) > 1 && len(casOld) != len(idxs) {
+		panic("array: CAS old-value count mismatch")
+	}
+	if len(idxs) == 0 {
+		promise, future := scheduler.NewPromise[[]T](c.w.Pool())
+		promise.Complete(nil)
+		return future
+	}
 	needOut := fetch || op == OpLoad || op == OpSwap || op == OpCAS
 	var out []T
 	var valueFn func() []T
@@ -411,12 +467,16 @@ func (c *core[T]) aggSubmit(op Op, fetch bool, idxs []int, vals, casOld []T) *sc
 	// The countdown starts with a submission reservation released at the
 	// end, so the future cannot resolve while runs are still being issued.
 	cd, future := scheduler.NewCountdown(c.w.Pool(), 1, valueFn)
-	future.SetAwaitHook(g.flushFn)
+	var frames []*aggBatch[T]
+	if len(idxs) >= g.flushOps {
+		frames = make([]*aggBatch[T], len(g.shards))
+	} else {
+		future.SetAwaitHook(g.flushFn)
+	}
 
 	me := c.w.MyPE()
 	geom := c.st.geom
 	broadcast := len(vals) <= 1 && op != OpLoad
-	elemSz := serde.SizeOf[T]()
 	mergeRuns := geom.dist == Block || geom.npes == 1
 	i := 0
 	for i < len(idxs) {
@@ -458,16 +518,22 @@ func (c *core[T]) aggSubmit(op Op, fetch bool, idxs []int, vals, casOld []T) *sc
 		if needOut {
 			eout = out[i : i+n]
 		}
-		if g.team.WorldPE(rank) == me {
-			// Owner-local run: apply immediately, no buffering.
+		switch {
+		case frames != nil:
+			g.addPrivate(frames, rank, op, local, n, evals, ecas, eout, cd, broadcast)
+		case g.team.WorldPE(rank) == me:
+			// Owner-local run of a small call: apply immediately.
 			cd.Add(1)
 			cd.Done(c.st.applyAggRun(me, rank, op, local, n, evals, ecas, eout))
-		} else if op != OpCAS && !broadcast && (n >= g.flushOps || n*elemSz >= g.bufSize) {
-			g.dispatchRun(rank, op, local, n, evals, eout, cd)
-		} else {
-			g.append(rank, op, local, n, broadcast, evals, ecas, eout, cd, elemSz)
+		default:
+			g.append(rank, op, local, n, evals, ecas, eout, cd, broadcast)
 		}
 		i += n
+	}
+	for rank, b := range frames {
+		if b != nil {
+			g.ship(rank, b, telemetry.FlushDrain)
+		}
 	}
 	cd.Done(nil) // release the submission reservation
 	return future
@@ -480,24 +546,13 @@ func zeroOf[T serde.Number]() T {
 	return z
 }
 
-// singleOp is the scalar path behind the one-element API methods. With
-// aggregation enabled it skips the batch machinery entirely — no index
-// or value slices, one countdown+future allocation per op — and hands a
-// single run to the destination buffer (or applies it inline when the
-// element is owner-local). append copies operand values into the batch
-// columns, so the stack-backed one-element slices never escape.
+// singleOp is the scalar path behind the one-element API methods. It
+// skips the batch machinery entirely — no index or value slices, one
+// countdown+future allocation per op — and hands a single run to the
+// destination's shared frame (or applies it inline when the element is
+// owner-local). append copies operand values into the frame columns, so
+// the stack-backed one-element slices never escape.
 func (c *core[T]) singleOp(op Op, fetch bool, idx int, val, casOld T) *scheduler.Future[[]T] {
-	if c.st.direct {
-		// Direct mode: one AM per op via the batch path.
-		var evals, ecas []T
-		if op != OpLoad {
-			evals = []T{val}
-		}
-		if op == OpCAS {
-			ecas = []T{casOld}
-		}
-		return c.batchOp(op, fetch, []int{idx}, evals, ecas)
-	}
 	needOut := fetch || op == OpLoad || op == OpSwap || op == OpCAS
 	g := c.agg()
 	rank, local := c.st.geom.place(c.globalIndex(idx))
@@ -521,7 +576,7 @@ func (c *core[T]) singleOp(op Op, fetch bool, idx int, val, casOld T) *scheduler
 			if op != OpLoad {
 				evals = vbuf[:]
 			}
-			g.append(rank, op, local, 1, false, evals, nil, nil, nil, g.elemSz)
+			g.append(rank, op, local, 1, evals, nil, nil, nil, false)
 		}
 		return g.sharedF
 	}
@@ -551,7 +606,7 @@ func (c *core[T]) singleOp(op Op, fetch bool, idx int, val, casOld T) *scheduler
 		if op == OpCAS {
 			ecas = cbuf[:]
 		}
-		g.append(rank, op, local, 1, false, evals, ecas, out, cd, g.elemSz)
+		g.append(rank, op, local, 1, evals, ecas, out, cd, false)
 		cd.Done(nil) // release the submission reservation
 	}
 	return future
@@ -559,7 +614,7 @@ func (c *core[T]) singleOp(op Op, fetch bool, idx int, val, casOld T) *scheduler
 
 // ----- destination-side application ----------------------------------------
 
-// aggAM carries one flushed destination buffer: columnar entries plus the
+// aggAM carries one flushed destination frame: columnar entries plus the
 // packed operand values, all moving through the zero-copy slice codec.
 type aggAM[T serde.Number] struct {
 	ID      uint64
@@ -573,7 +628,7 @@ type aggAM[T serde.Number] struct {
 
 // ResetLamellar clears the AM for its decode pool (RegisterAMPooled):
 // destination-side instances recycle after Exec instead of churning an
-// allocation per delivered batch.
+// allocation per delivered frame.
 func (a *aggAM[T]) ResetLamellar() { *a = aggAM[T]{} }
 
 func (a *aggAM[T]) MarshalLamellar(e *serde.Encoder) {
@@ -601,7 +656,7 @@ func (a *aggAM[T]) UnmarshalLamellar(d *serde.Decoder) error {
 
 func (a *aggAM[T]) Exec(ctx *runtime.Context) any {
 	st, rank := lookupState[T](ctx, a.ID)
-	out, err := st.applyAggBatch(ctx.World.MyPE(), rank, a.Ops, a.Starts, a.Counts, a.Vals, a.CasOld, a.WantOut)
+	out, err := st.applyAggBatch(ctx.World.MyPE(), rank, a.Ops, a.Starts, a.Counts, a.Vals, a.CasOld)
 	if err != nil {
 		panic(err) // converted to an origin-side error by the runtime
 	}
@@ -611,26 +666,84 @@ func (a *aggAM[T]) Exec(ctx *runtime.Context) any {
 	return nil
 }
 
-// applyAggBatch executes a flushed buffer's entries sequentially on
-// rank's local data, honoring the array's kind, and returns the
-// concatenated previous values of fetch-flagged entries.
+// checkFrame validates a frame against rank's local length n before any
+// entry applies, so a malformed frame fails whole instead of panicking
+// part-way: the columns agree in length, every flag byte names a known
+// op and modifiers, every run lies in [0, n), the value columns hold
+// exactly what the entries consume, and no entry writes a ReadOnlyArray,
+// divides an integer by zero, or asks a float for an integer-only op.
+// It returns how many previous values the frame fetches.
+func checkFrame[T serde.Number](kind Kind, n int, ops []uint8, starts, counts []int64, vals, casOld []T) (int, error) {
+	if len(starts) != len(ops) || len(counts) != len(ops) {
+		return 0, fmt.Errorf("array: agg frame has %d ops, %d starts, %d counts", len(ops), len(starts), len(counts))
+	}
+	isFloat := serde.KindOf[T]() != 0
+	nv, nc, nout := 0, 0, 0
+	for k, f := range ops {
+		op := Op(f & entryOpMask)
+		if f&^(entryOpMask|entryBroadcast|entryFetch) != 0 || op > OpCAS ||
+			(op == OpLoad && f&entryFetch == 0) {
+			return 0, fmt.Errorf("array: agg entry %d has bad flags %#x", k, f)
+		}
+		start, cnt := starts[k], counts[k]
+		if start < 0 || cnt < 0 || cnt > int64(n)-start {
+			return 0, fmt.Errorf("array: agg entry [%d,%d) out of local range [0,%d)", start, start+cnt, n)
+		}
+		if op.isWrite() && kind == KindReadOnly {
+			return 0, fmt.Errorf("array: %v on ReadOnlyArray", op)
+		}
+		if isFloat && (op == OpRem || (op >= OpAnd && op <= OpShr)) {
+			return 0, fmt.Errorf("array: %v on floating-point array", op)
+		}
+		if op != OpLoad {
+			w := int(cnt)
+			if f&entryBroadcast != 0 {
+				w = 1
+			}
+			if w > len(vals)-nv {
+				return 0, fmt.Errorf("array: agg frame short of operand values")
+			}
+			if !isFloat && (op == OpDiv || op == OpRem) {
+				for _, v := range vals[nv : nv+w] {
+					if v == 0 {
+						return 0, fmt.Errorf("array: integer %v by zero", op)
+					}
+				}
+			}
+			nv += w
+		}
+		if op == OpCAS {
+			nc += int(cnt)
+		}
+		if f&entryFetch != 0 {
+			nout += int(cnt)
+		}
+	}
+	if nv != len(vals) || nc != len(casOld) {
+		return 0, fmt.Errorf("array: agg frame carries %d values and %d CAS operands, entries use %d and %d",
+			len(vals), len(casOld), nv, nc)
+	}
+	return nout, nil
+}
+
+// applyAggBatch executes a frame's entries sequentially on rank's local
+// data, honoring the array's kind, and returns the concatenated previous
+// values of fetch-flagged entries. A malformed frame returns an error
+// and applies nothing.
 func (s *sharedState[T]) applyAggBatch(worldPE, rank int, ops []uint8, starts, counts []int64,
-	vals, casOld []T, wantOut bool) ([]T, error) {
+	vals, casOld []T) ([]T, error) {
 	kind := Kind(s.kind.Load())
 	data := s.region.Local(worldPE)
-	n := s.geom.localLen(rank)
+	nout, err := checkFrame(kind, s.geom.localLen(rank), ops, starts, counts, vals, casOld)
+	if err != nil {
+		return nil, err
+	}
 	var out []T
-	if wantOut {
-		total := 0
-		for k, f := range ops {
-			if f&entryFetch != 0 {
-				total += int(counts[k])
-			}
-		}
-		out = make([]T, total)
+	if nout > 0 {
+		out = make([]T, nout)
 	}
 	if kind == KindLocalLock {
-		// One rank-lock acquisition for the whole buffer — the point of
+		// One rank-lock acquisition for the whole frame — the point of
 		// aggregating LocalLockArray ops.
 		anyWrite := false
 		for _, f := range ops {
@@ -653,12 +766,6 @@ func (s *sharedState[T]) applyAggBatch(worldPE, rank int, ops []uint8, starts, c
 		op := Op(f & entryOpMask)
 		start := int(starts[k])
 		cnt := int(counts[k])
-		if start < 0 || cnt < 0 || start+cnt > n {
-			return nil, fmt.Errorf("array: agg entry [%d,%d) out of local range [0,%d)", start, start+cnt, n)
-		}
-		if op.isWrite() && kind == KindReadOnly {
-			return nil, fmt.Errorf("array: %v on ReadOnlyArray", op)
-		}
 		var evals []T
 		if op != OpLoad {
 			if f&entryBroadcast != 0 {

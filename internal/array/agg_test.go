@@ -1,6 +1,7 @@
 package array
 
 import (
+	"math/rand"
 	goruntime "runtime"
 	"sync/atomic"
 	"testing"
@@ -8,23 +9,22 @@ import (
 	"weak"
 
 	"repro/internal/runtime"
+	"repro/internal/telemetry"
 )
 
 // aggTestCfg isolates the array aggregation layer's own flush triggers:
-// its thresholds are pushed far out so only the trigger under test can
-// drain the buffers, the runtime-level envelope queue sends immediately
-// (AggThresholdBytes: 1) so a dispatched batch is delivered without a
-// runtime flush cycle, and the background flusher runs at 250 ms — far
-// beyond any sub-100 ms "must not deliver" window, but still present
-// because the shutdown quiescence protocol relies on it to drain
-// completion acks.
+// AggThresholdBytes and ArrayBatchSize are pushed far out so only the
+// trigger under test can drain the frames, and the background flusher
+// runs at 250 ms — far beyond any sub-100 ms "must not flush" window,
+// but still present because it ships the dispatched AM batches (the
+// runtime queue's byte threshold is out of reach too) and the shutdown
+// quiescence protocol relies on it to drain completion acks.
 func aggTestCfg(pes int) runtime.Config {
 	return runtime.Config{
 		PEs:               pes,
 		Lamellae:          runtime.LamellaeShmem,
-		AggBufSize:        1 << 30,
-		AggFlushOps:       1 << 30,
-		AggThresholdBytes: 1,
+		AggThresholdBytes: 1 << 30,
+		ArrayBatchSize:    1 << 30,
 		FlushInterval:     250 * time.Millisecond,
 	}
 }
@@ -39,7 +39,7 @@ func remoteIdx(me, glen int) int {
 
 func TestAggFlushOnOpThreshold(t *testing.T) {
 	cfg := aggTestCfg(2)
-	cfg.AggFlushOps = 8
+	cfg.ArrayBatchSize = 8
 	const glen = 64
 	err := runtime.Run(cfg, func(w *runtime.World) {
 		a := NewAtomicArray[uint64](w.Team(), glen, Block)
@@ -51,14 +51,16 @@ func TestAggFlushOnOpThreshold(t *testing.T) {
 				a.BatchOpVals(OpStore, []int{glen/2 + k}, []uint64{uint64(k + 1)})
 			}
 			time.Sleep(50 * time.Millisecond)
-			for k := 0; k < 7; k++ {
-				if got := atomic.LoadUint64(&peer[k]); got != 0 {
-					t.Errorf("PE0: op %d delivered below AggFlushOps (got %d)", k, got)
-				}
+			if st := w.Stats(); st.AggBatchesFlushed != 0 {
+				t.Errorf("PE0: %d frames dispatched below ArrayBatchSize", st.AggBatchesFlushed)
 			}
-			// The 8th op crosses AggFlushOps and must trigger dispatch
-			// without any WaitAll/Barrier/Await.
+			// The 8th op reaches ArrayBatchSize and must dispatch the
+			// frame without any WaitAll/Barrier/Await.
 			a.BatchOpVals(OpStore, []int{glen/2 + 7}, []uint64{8})
+			if st := w.Stats(); st.AggBatchesFlushed != 1 || st.AggFlushReasons[telemetry.FlushOps] != 1 {
+				t.Errorf("PE0: after the 8th op: %d frames, %d on the op cap; want 1 and 1",
+					st.AggBatchesFlushed, st.AggFlushReasons[telemetry.FlushOps])
+			}
 			deadline := time.Now().Add(2 * time.Second)
 			for {
 				done := true
@@ -72,7 +74,7 @@ func TestAggFlushOnOpThreshold(t *testing.T) {
 					break
 				}
 				if time.Now().After(deadline) {
-					t.Errorf("PE0: agg buffer did not flush after crossing AggFlushOps")
+					t.Errorf("PE0: frame dispatched on the op cap never landed")
 					break
 				}
 				time.Sleep(time.Millisecond)
@@ -126,7 +128,13 @@ func TestAggExplicitFlush(t *testing.T) {
 		if w.MyPE() == 0 {
 			idx := remoteIdx(0, glen)
 			a.BatchOpVals(OpStore, []int{idx}, []uint64{42})
+			if st := w.Stats(); st.AggBatchesFlushed != 0 {
+				t.Errorf("PE0: %d frames dispatched before FlushBatches", st.AggBatchesFlushed)
+			}
 			a.FlushBatches()
+			if st := w.Stats(); st.AggFlushReasons[telemetry.FlushDrain] != 1 {
+				t.Errorf("PE0: FlushBatches dispatched %d frames, want 1", st.AggFlushReasons[telemetry.FlushDrain])
+			}
 			deadline := time.Now().Add(2 * time.Second)
 			half := glen / 2
 			peer := a.c.st.region.Local(1)
@@ -283,38 +291,6 @@ func TestAggContiguousRuns(t *testing.T) {
 	}
 }
 
-func TestAggDisabled(t *testing.T) {
-	// AggBufSize < 0 must take the direct per-batch path and still be
-	// correct (this is the pre-aggregation behavior and the noagg bench
-	// series).
-	cfg := runtime.Config{PEs: 2, Lamellae: runtime.LamellaeShmem, AggBufSize: -1}
-	err := runtime.Run(cfg, func(w *runtime.World) {
-		a := NewAtomicArray[uint64](w.Team(), 64, Block)
-		defer a.Drop()
-		me := w.MyPE()
-		idx := remoteIdx(me, 64)
-		if _, err := runtime.BlockOn(w, a.BatchFetchOp(OpAdd, []int{idx}, uint64(me+1))); err != nil {
-			t.Fatal(err)
-		}
-		w.Barrier()
-		local := a.LocalData()
-		want := uint64(2 - me) // the other PE's me+1
-		var got uint64
-		if me == 0 {
-			got = local[0]
-		} else {
-			got = local[len(local)-1]
-		}
-		if got != want {
-			t.Errorf("PE%d: got %d, want %d", me, got, want)
-		}
-		w.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAggLocalLockAndUnsafe(t *testing.T) {
 	// The aggregated path must honor kind semantics for the other
 	// aggregating array flavors too.
@@ -405,7 +381,7 @@ func TestAggConcurrentStress(t *testing.T) {
 		workers = 8
 		perG    = 200
 	)
-	cfg := runtime.Config{PEs: 2, Lamellae: runtime.LamellaeShmem, AggFlushOps: 64}
+	cfg := runtime.Config{PEs: 2, Lamellae: runtime.LamellaeShmem, ArrayBatchSize: 64}
 	err := runtime.Run(cfg, func(w *runtime.World) {
 		a := NewAtomicArray[uint64](w.Team(), glen, Block)
 		defer a.Drop()
@@ -489,4 +465,150 @@ func dropAfterRemoteAdd(w *runtime.World) weak.Pointer[sharedState[uint64]] {
 	st := weak.Make(a.c.st)
 	a.Drop()
 	return st
+}
+
+// routeTestCfg gives large calls a small ArrayBatchSize so private
+// frames are cheap to provoke, with default flush timing.
+func routeTestCfg() runtime.Config {
+	return runtime.Config{PEs: 2, WorkersPerPE: 2, Lamellae: runtime.LamellaeShmem, ArrayBatchSize: 256}
+}
+
+// A call of at least ArrayBatchSize indices fills private frames: when
+// it returns every shared frame is still empty and all its frames are on
+// their way, the part-filled last one included, so the future resolves
+// without FlushBatches or Await.
+func TestAggLargeCallShipsPrivateFrames(t *testing.T) {
+	cfg := routeTestCfg()
+	const glen = 1 << 14
+	err := runtime.Run(cfg, func(w *runtime.World) {
+		a := NewAtomicArray[uint64](w.Team(), glen, Block)
+		defer a.Drop()
+		if w.MyPE() == 0 {
+			rng := rand.New(rand.NewSource(3))
+			idxs := make([]int, 3*cfg.ArrayBatchSize/2)
+			for k := range idxs {
+				idxs[k] = glen/2 + rng.Intn(glen/2) // PE1's half
+			}
+			f := a.BatchAdd(idxs, 1)
+			g := a.c.agg()
+			for r := range g.shards {
+				g.shards[r].mu.Lock()
+				if b := g.shards[r].b; b != nil && len(b.ops) > 0 {
+					t.Errorf("PE0: shared frame for rank %d holds %d entries after the call", r, len(b.ops))
+				}
+				g.shards[r].mu.Unlock()
+			}
+			if st := w.Stats(); st.AggOpsCoalesced != uint64(len(idxs)) {
+				t.Errorf("PE0: %d ops dispatched by the time the call returned, want %d", st.AggOpsCoalesced, len(idxs))
+			}
+			select {
+			case <-f.Done():
+			case <-time.After(5 * time.Second):
+				t.Error("PE0: large call's future did not resolve on its own")
+			}
+		}
+		w.Barrier()
+		if w.MyPE() == 1 {
+			var sum uint64
+			for _, v := range a.LocalData() {
+				sum += v
+			}
+			if want := uint64(3 * cfg.ArrayBatchSize / 2); sum != want {
+				t.Errorf("PE1: local sum %d, want %d", sum, want)
+			}
+		}
+		w.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A contiguous run four times the op cap travels as one entry in one
+// frame, aliasing the caller's values, instead of being cut at the cap;
+// the owner-local run applies inline, and a contiguous load of both
+// halves reads every value back through aliased one-entry frames.
+func TestAggContiguousRunIsOneEntry(t *testing.T) {
+	cfg := routeTestCfg()
+	n := 4 * cfg.ArrayBatchSize
+	glen := 2 * n
+	err := runtime.Run(cfg, func(w *runtime.World) {
+		a := NewAtomicArray[uint64](w.Team(), glen, Block)
+		defer a.Drop()
+		if w.MyPE() == 0 {
+			idxs := make([]int, glen)
+			vals := make([]uint64, glen)
+			for k := range idxs {
+				idxs[k] = k
+				vals[k] = uint64(k + 1)
+			}
+			if _, err := runtime.BlockOn(w, a.BatchOpVals(OpStore, idxs, vals)); err != nil {
+				t.Error(err)
+			}
+			if st := w.Stats(); st.AggBatchesFlushed != 1 || st.AggOpsCoalesced != uint64(n) {
+				t.Errorf("PE0: %d frames carrying %d ops, want 1 frame carrying %d",
+					st.AggBatchesFlushed, st.AggOpsCoalesced, n)
+			}
+			got, err := runtime.BlockOn(w, a.BatchLoad(idxs))
+			if err != nil {
+				t.Error(err)
+			}
+			for k, v := range got {
+				if v != vals[k] {
+					t.Errorf("PE0: load %d = %d, want %d", k, v, vals[k])
+					break
+				}
+			}
+		}
+		w.Barrier()
+		for k, v := range a.LocalData() {
+			if want := uint64(w.MyPE()*n + k + 1); v != want {
+				t.Errorf("PE%d: elem %d = %d, want %d", w.MyPE(), k, v, want)
+				break
+			}
+		}
+		w.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A large fetch over random indices on both PEs returns every previous
+// value in input order, whether its frame applied inline on the owner
+// or crossed the wire.
+func TestAggLargeFetchSpansPEs(t *testing.T) {
+	cfg := routeTestCfg()
+	const glen = 4096
+	err := runtime.Run(cfg, func(w *runtime.World) {
+		a := NewAtomicArray[uint64](w.Team(), glen, Block)
+		defer a.Drop()
+		me := w.MyPE()
+		base := me * (glen / 2)
+		local := a.LocalData()
+		for k := range local {
+			local[k] = uint64(10 * (base + k))
+		}
+		w.Barrier()
+		if me == 0 {
+			// Distinct indices: frames of one call are unordered with
+			// respect to each other, so a repeated index would have no
+			// single right answer.
+			idxs := rand.New(rand.NewSource(5)).Perm(glen)[:4*cfg.ArrayBatchSize+17]
+			prev, err := runtime.BlockOn(w, a.BatchFetchOp(OpAdd, idxs, 1))
+			if err != nil {
+				t.Error(err)
+			}
+			for k, v := range prev {
+				if want := uint64(10 * idxs[k]); v != want {
+					t.Errorf("fetch %d (index %d) = %d, want %d", k, idxs[k], v, want)
+					break
+				}
+			}
+		}
+		w.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }

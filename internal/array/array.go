@@ -54,13 +54,9 @@ type sharedState[T serde.Number] struct {
 	elocks  [][]atomic.Uint32 // GenericAtomicArray: per-element spinlocks
 	native  bool              // NativeAtomicArray eligibility for T
 
-	// World settings the op paths read, captured once at construction
-	// (World.Config copies the whole struct): direct is AggBufSize < 0
-	// (no op aggregation), batchMax is ArrayBatchSize, and putAMMax is
-	// the element count up to which a range put travels inside an AM
-	// (AggThresholdBytes) instead of an owner RDMA pull.
-	direct   bool
-	batchMax int
+	// putAMMax is the element count up to which a range put travels
+	// inside an AM (Config.AggThresholdBytes) instead of an owner RDMA
+	// pull, captured once at construction.
 	putAMMax int
 
 	// per-origin-PE operation aggregation buffers (see agg.go); aggPtrs is
@@ -123,16 +119,13 @@ func newCore[T serde.Number](team *runtime.Team, glen int, dist Distribution, ki
 	w := team.World()
 	st := team.CollectiveKind("array.new", func() any {
 		geom := geometry{dist: dist, glen: glen, npes: team.Size()}
-		cfg := w.Config()
 		s := &sharedState[T]{
-			id:       nextArrayID.Add(1),
-			geom:     geom,
-			region:   fabric.AllocTyped[T](w.Provider(), geom.maxLocalLen()),
-			native:   nativeAtomicOK[T](),
-			direct:   cfg.AggBufSize < 0,
-			batchMax: cfg.ArrayBatchSize,
+			id:     nextArrayID.Add(1),
+			geom:   geom,
+			region: fabric.AllocTyped[T](w.Provider(), geom.maxLocalLen()),
+			native: nativeAtomicOK[T](),
 		}
-		s.putAMMax = cfg.AggThresholdBytes / max(1, s.region.ElemSize())
+		s.putAMMax = w.Config().AggThresholdBytes / max(1, s.region.ElemSize())
 		s.kind.Store(int32(kind))
 		s.ranks = make(map[int]int, team.Size())
 		for r, pe := range team.Members() {

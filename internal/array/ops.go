@@ -239,117 +239,7 @@ func lockElem(l *atomic.Uint32) {
 
 func unlockElem(l *atomic.Uint32) { l.Store(0) }
 
-// ----- owner-side batch application ----------------------------------------
-
-// applyBatch executes a batch of same-op element accesses on rank's local
-// data, honoring the array's current kind. vals has length 1 (broadcast)
-// or len(local); casOld likewise for OpCAS. Returns previous values when
-// fetch is set.
-func (s *sharedState[T]) applyBatch(worldPE, rank int, op Op, fetch bool, local []int, vals, casOld []T) ([]T, error) {
-	kind := Kind(s.kind.Load())
-	if op.isWrite() && kind == KindReadOnly {
-		return nil, fmt.Errorf("array: %v on ReadOnlyArray", op)
-	}
-	data := s.region.Local(worldPE)
-	n := s.geom.localLen(rank)
-	valAt := func(i int) T {
-		if len(vals) == 0 {
-			var zero T
-			return zero
-		}
-		if len(vals) == 1 {
-			return vals[0]
-		}
-		return vals[i]
-	}
-	oldAt := func(i int) T {
-		if len(casOld) == 1 {
-			return casOld[0]
-		}
-		return casOld[i]
-	}
-	var out []T
-	if fetch || op == OpLoad || op == OpSwap || op == OpCAS {
-		out = make([]T, len(local))
-	}
-
-	apply := func(plain bool) error {
-		for i, li := range local {
-			if li < 0 || li >= n {
-				return fmt.Errorf("array: local index %d out of range [0,%d)", li, n)
-			}
-			v := valAt(i)
-			switch {
-			case plain:
-				cur := data[li]
-				var next T
-				if op == OpCAS {
-					next = cur
-					if cur == oldAt(i) {
-						next = v
-					}
-				} else {
-					next = applyScalar(op, cur, v)
-				}
-				if op.isWrite() {
-					data[li] = next
-				}
-				if out != nil {
-					out[i] = cur
-				}
-			case kind == KindAtomic && s.native:
-				var co T
-				if op == OpCAS {
-					co = oldAt(i)
-				}
-				prev := nativeApply(op, &data[li], v, co)
-				if out != nil {
-					out[i] = prev
-				}
-			default: // generic atomic: per-element spinlock
-				l := &s.elocks[rank][li]
-				lockElem(l)
-				cur := data[li]
-				var next T
-				if op == OpCAS {
-					next = cur
-					if cur == oldAt(i) {
-						next = v
-					}
-				} else {
-					next = applyScalar(op, cur, v)
-				}
-				if op.isWrite() {
-					data[li] = next
-				}
-				unlockElem(l)
-				if out != nil {
-					out[i] = cur
-				}
-			}
-		}
-		return nil
-	}
-
-	switch kind {
-	case KindUnsafe, KindReadOnly:
-		return out, apply(true)
-	case KindAtomic:
-		return out, apply(false)
-	case KindLocalLock:
-		lk := s.rwLocks[rank]
-		if op.isWrite() {
-			lk.Lock()
-			defer lk.Unlock()
-		} else {
-			lk.RLock()
-			defer lk.RUnlock()
-		}
-		return out, apply(true)
-	default:
-		return nil, fmt.Errorf("array: unknown kind %v", kind)
-	}
-}
+// ----- owner-side range application ----------------------------------------
 
 // applyRange writes vals into rank's local data starting at local index
 // start, honoring the kind's guarantee (the Fig. 2 put path).
@@ -421,47 +311,6 @@ func (s *sharedState[T]) readRange(worldPE, rank, start, n int) ([]T, error) {
 }
 
 // ----- wire AMs --------------------------------------------------------------
-
-// opAM carries one destination sub-batch of element operations.
-type opAM[T serde.Number] struct {
-	ID     uint64
-	Op     Op
-	Fetch  bool
-	Local  []int
-	Vals   []T
-	CasOld []T
-}
-
-func (a *opAM[T]) MarshalLamellar(e *serde.Encoder) {
-	e.PutUvarint(a.ID)
-	e.PutU8(uint8(a.Op))
-	e.PutBool(a.Fetch)
-	serde.EncodeFixedSlice(e, intsToU64(a.Local))
-	serde.EncodeFixedSlice(e, a.Vals)
-	serde.EncodeFixedSlice(e, a.CasOld)
-}
-
-func (a *opAM[T]) UnmarshalLamellar(d *serde.Decoder) error {
-	a.ID = d.Uvarint()
-	a.Op = Op(d.U8())
-	a.Fetch = d.Bool()
-	a.Local = u64ToInts(serde.DecodeFixedSlice[uint64](d))
-	a.Vals = serde.DecodeFixedSlice[T](d)
-	a.CasOld = serde.DecodeFixedSlice[T](d)
-	return d.Err()
-}
-
-func (a *opAM[T]) Exec(ctx *runtime.Context) any {
-	st, rank := lookupState[T](ctx, a.ID)
-	out, err := st.applyBatch(ctx.World.MyPE(), rank, a.Op, a.Fetch, a.Local, a.Vals, a.CasOld)
-	if err != nil {
-		panic(err) // converted to an origin-side error by the runtime
-	}
-	if a.Fetch || a.Op == OpLoad || a.Op == OpSwap || a.Op == OpCAS {
-		return out
-	}
-	return nil
-}
 
 // rangePutAM writes a contiguous run into the owner's local chunk.
 type rangePutAM[T serde.Number] struct {
@@ -563,28 +412,11 @@ func lookupState[T serde.Number](ctx *runtime.Context, id uint64) (*sharedState[
 	return st, rank
 }
 
-func intsToU64(xs []int) []uint64 {
-	out := make([]uint64, len(xs))
-	for i, x := range xs {
-		out[i] = uint64(x)
-	}
-	return out
-}
-
-func u64ToInts(xs []uint64) []int {
-	out := make([]int, len(xs))
-	for i, x := range xs {
-		out[i] = int(x)
-	}
-	return out
-}
-
 // RegisterElemType registers the array layer's internal AMs for element
 // type T under the given unique name (e.g. "u64"). The standard numeric
 // types are pre-registered; call this for custom derived element types.
 func RegisterElemType[T serde.Number](name string) {
 	serde.RegisterNumeric[T]("array.num." + name)
-	runtime.RegisterAM[opAM[T]]("array.op." + name)
 	runtime.RegisterAMPooled[aggAM[T]]("array.agg." + name)
 	runtime.RegisterAM[rangePutAM[T]]("array.rput." + name)
 	runtime.RegisterAM[rangeGetAM[T]]("array.rget." + name)
@@ -609,113 +441,6 @@ func init() {
 		RegisterElemType[float32]("f32")
 		RegisterElemType[float64]("f64")
 	})
-}
-
-// ----- origin-side batching ---------------------------------------------------
-
-// batchResult pairs a fetch-result future with completion.
-type batchResult[T serde.Number] struct {
-	F *scheduler.Future[[]T]
-}
-
-// batchOp splits a batch of same-op element accesses by destination PE,
-// chunks each destination's share into sub-batches of at most
-// ArrayBatchSize operations, and dispatches one opAM per sub-batch (local
-// destinations apply directly on a pool task). The returned future
-// resolves when every sub-batch completed, carrying previous values in
-// input order for fetch-style ops.
-func (c *core[T]) batchOp(op Op, fetch bool, idxs []int, vals, casOld []T) *scheduler.Future[[]T] {
-	if len(vals) > 1 && len(vals) != len(idxs) {
-		panic(fmt.Sprintf("array: %d values for %d indices", len(vals), len(idxs)))
-	}
-	if op == OpCAS && len(casOld) > 1 && len(casOld) != len(idxs) {
-		panic("array: CAS old-value count mismatch")
-	}
-	if len(idxs) == 0 {
-		promise, future := scheduler.NewPromise[[]T](c.w.Pool())
-		promise.Complete(nil)
-		return future
-	}
-	if !c.st.direct {
-		// Aggregated path: coalesce into per-destination buffers.
-		return c.aggSubmit(op, fetch, idxs, vals, casOld)
-	}
-	needOut := fetch || op == OpLoad || op == OpSwap || op == OpCAS
-	var out []T
-	var valueFn func() []T
-	if needOut {
-		out = make([]T, len(idxs))
-		valueFn = func() []T { return out }
-	}
-
-	type chunk struct {
-		rank   int
-		pos    []int // positions in the original batch
-		local  []int
-		vals   []T
-		casOld []T
-	}
-	maxBatch := c.st.batchMax
-	byRank := make(map[int]*chunk)
-	var chunks []*chunk
-	for p, idx := range idxs {
-		g := c.globalIndex(idx)
-		rank, local := c.st.geom.place(g)
-		ch := byRank[rank]
-		if ch == nil {
-			ch = &chunk{rank: rank}
-			byRank[rank] = ch
-			chunks = append(chunks, ch)
-		}
-		ch.pos = append(ch.pos, p)
-		ch.local = append(ch.local, local)
-		if len(vals) > 1 {
-			ch.vals = append(ch.vals, vals[p])
-		}
-		if len(casOld) > 1 {
-			ch.casOld = append(ch.casOld, casOld[p])
-		}
-		if len(ch.pos) >= maxBatch {
-			delete(byRank, rank) // start a fresh chunk for this rank
-		}
-	}
-
-	cd, future := scheduler.NewCountdown(c.w.Pool(), len(chunks), valueFn)
-	for _, ch := range chunks {
-		ch := ch
-		cvals := ch.vals
-		if len(vals) == 1 {
-			cvals = vals
-		}
-		ccas := ch.casOld
-		if len(casOld) == 1 {
-			ccas = casOld
-		}
-		destPE := c.team.WorldPE(ch.rank)
-		if destPE == c.w.MyPE() {
-			// local fast path, still asynchronous
-			c.w.Pool().Submit(func() {
-				res, err := c.st.applyBatch(destPE, ch.rank, op, fetch, ch.local, cvals, ccas)
-				if err == nil && out != nil {
-					for i, p := range ch.pos {
-						out[p] = res[i]
-					}
-				}
-				cd.Done(err)
-			})
-			continue
-		}
-		am := &opAM[T]{ID: c.st.id, Op: op, Fetch: needOut, Local: ch.local, Vals: cvals, CasOld: ccas}
-		runtime.ExecTyped[[]T](c.w, destPE, am).OnDone(func(res []T, err error) {
-			if err == nil && out != nil {
-				for i, p := range ch.pos {
-					out[p] = res[i]
-				}
-			}
-			cd.Done(err)
-		})
-	}
-	return future
 }
 
 // reduceSlice folds vals with the reduction operator.

@@ -39,14 +39,16 @@ func RunAblateAgg(thresholds []int, p kernels.Params, out io.Writer) error {
 	return nil
 }
 
-// RunAblateBatch sweeps the array-operation sub-batch size (the paper caps
-// batches at 10 000 operations) using the AtomicArray histogram.
+// RunAblateBatch sweeps Config.ArrayBatchSize, the op cap of every
+// element-op frame and the call size from which batch ops fill private
+// frames (the paper caps batches at 10 000 operations), using the
+// AtomicArray histogram.
 func RunAblateBatch(batches []int, p kernels.Params, out io.Writer) error {
 	if len(batches) == 0 {
 		batches = []int{100, 500, 1000, 5000, 10_000, 50_000}
 	}
 	p = p.WithDefaults()
-	table := NewTable("ABL2 array sub-batch size", "batch_ops", "MUPS")
+	table := NewTable("ABL2 array frame op cap (ArrayBatchSize)", "batch_ops", "MUPS")
 	const pes = 8
 	for _, b := range batches {
 		pb := p

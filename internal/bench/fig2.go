@@ -219,10 +219,9 @@ func RunFig2(cfg Fig2Config, out io.Writer) error {
 // transfer is one BatchOpVals(OpStore) call over `size/8` contiguous
 // uint64 elements of the remote PE's half, fired without awaiting so the
 // array-op aggregation layer coalesces calls into per-destination
-// batches (WaitAll drains at the end of each sample). The noagg series
-// runs the identical op stream with aggregation disabled (AggBufSize
-// -1), isolating the layer's contribution; the seed FIG2 `atomic` curve
-// (per-element stores via Put) is the pre-aggregation baseline.
+// frames (WaitAll drains at the end of each sample). The seed FIG2
+// `atomic` curve (per-element stores via Put) is the pre-aggregation
+// baseline.
 func RunFig2Agg(cfg Fig2Config, out io.Writer) error {
 	if len(cfg.Sizes) == 0 {
 		// uint64 ops: start at two elements, sweep to 16 MiB batches,
@@ -254,14 +253,12 @@ func RunFig2Agg(cfg Fig2Config, out io.Writer) error {
 	defer debug.SetGCPercent(oldGC)
 
 	methods := []struct {
-		name  string
-		kind  string
-		noagg bool
+		name string
+		kind string
 	}{
-		{"atomic-agg", "atomic", false},
-		{"atomic-noagg", "atomic", true},
-		{"locallock-agg", "locallock", false},
-		{"unsafe-agg", "unsafe", false},
+		{"atomic-agg", "atomic"},
+		{"locallock-agg", "locallock"},
+		{"unsafe-agg", "unsafe"},
 	}
 	table := NewTable("FIG2-AGG aggregated element-op bandwidth", "size_bytes", "MB/s")
 	for _, m := range methods {
@@ -274,9 +271,6 @@ func RunFig2Agg(cfg Fig2Config, out io.Writer) error {
 			// in one fragment (the sim fragments at a quarter of the heap);
 			// reassembly would add a full extra copy pass at the top sizes.
 			StagingBytes: 8*maxSize + (1 << 20),
-		}
-		if m.noagg {
-			rcfg.AggBufSize = -1
 		}
 		var results []struct {
 			size int

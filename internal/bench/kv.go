@@ -19,11 +19,6 @@ import (
 // (measured from each request's intended send time), so the reported
 // p999 contains the queueing a fault-induced stall imposes, and failed
 // ops are counted as SLO violations instead of polluting the tail.
-//
-// Each fabric runs in two modes sharing this harness: "direct" disables
-// the array-op aggregation layer (AggBufSize < 0, the pre-aggregation
-// seed behavior) and "agg" uses the default aggregating path — the
-// seed-vs-new A/B for bench_results.txt §KV.
 
 // KVConfig controls the KV serving benchmark.
 type KVConfig struct {
@@ -109,49 +104,38 @@ func RunKV(cfg KVConfig, out io.Writer) error {
 				close(healed)
 			}},
 	}
-	modes := []struct {
-		name   string
-		aggBuf int
-	}{
-		{"direct", -1}, // pre-aggregation dispatch: the seed behavior
-		{"agg", 0},     // default aggregating path
-	}
-
 	table := NewTable("KV serving: open-loop Zipfian mix, per-fabric SLO", "row", "value")
 	for _, f := range fabrics {
-		for _, m := range modes {
-			row, err := runKVCell(cfg, f, m.aggBuf)
-			if err != nil {
-				return fmt.Errorf("%s/%s: %w", f.name, m.name, err)
-			}
-			name := f.name + "/" + m.name
-			get := row.hists[kv.OpGet].Summary()
-			put := row.hists[kv.OpPut].Summary()
-			fadd := row.hists[kv.OpFetchAdd].Summary()
-			table.Add(name, "get_p50_us", us(get.P50))
-			table.Add(name, "get_p99_us", us(get.P99))
-			table.Add(name, "get_p999_us", us(get.P999))
-			table.Add(name, "put_p99_us", us(put.P99))
-			table.Add(name, "fadd_p99_us", us(fadd.P99))
-			table.Add(name, "offered_kreq_s", row.offered/1e3)
-			table.Add(name, "achieved_kreq_s", row.achieved/1e3)
-			table.Add(name, "slo_violations", float64(row.errors))
-			ledger := "ok"
-			if len(row.violations) > 0 {
-				ledger = "VIOLATED"
-			}
-			fmt.Fprintf(out, "KV %-20s get p50=%6.0fus p99=%7.0fus p999=%7.0fus  %6.1f/%.1f kreq/s  viol=%-5d ledger=%s\n",
-				name, us(get.P50), us(get.P99), us(get.P999),
-				row.achieved/1e3, row.offered/1e3, row.errors, ledger)
-			for _, v := range row.violations {
-				fmt.Fprintf(out, "KV %s LEDGER %s\n", name, v)
-			}
-			if len(row.violations) > 0 {
-				return fmt.Errorf("%s: %d ledger violations (lost or phantom updates)", name, len(row.violations))
-			}
-			if f.name != "partition" && row.errors > 0 {
-				return fmt.Errorf("%s: %d SLO violations on a fabric the reliable layer should repair", name, row.errors)
-			}
+		row, err := runKVCell(cfg, f)
+		if err != nil {
+			return fmt.Errorf("%s: %w", f.name, err)
+		}
+		get := row.hists[kv.OpGet].Summary()
+		put := row.hists[kv.OpPut].Summary()
+		fadd := row.hists[kv.OpFetchAdd].Summary()
+		table.Add(f.name, "get_p50_us", us(get.P50))
+		table.Add(f.name, "get_p99_us", us(get.P99))
+		table.Add(f.name, "get_p999_us", us(get.P999))
+		table.Add(f.name, "put_p99_us", us(put.P99))
+		table.Add(f.name, "fadd_p99_us", us(fadd.P99))
+		table.Add(f.name, "offered_kreq_s", row.offered/1e3)
+		table.Add(f.name, "achieved_kreq_s", row.achieved/1e3)
+		table.Add(f.name, "slo_violations", float64(row.errors))
+		ledger := "ok"
+		if len(row.violations) > 0 {
+			ledger = "VIOLATED"
+		}
+		fmt.Fprintf(out, "KV %-20s get p50=%6.0fus p99=%7.0fus p999=%7.0fus  %6.1f/%.1f kreq/s  viol=%-5d ledger=%s\n",
+			f.name, us(get.P50), us(get.P99), us(get.P999),
+			row.achieved/1e3, row.offered/1e3, row.errors, ledger)
+		for _, v := range row.violations {
+			fmt.Fprintf(out, "KV %s LEDGER %s\n", f.name, v)
+		}
+		if len(row.violations) > 0 {
+			return fmt.Errorf("%s: %d ledger violations (lost or phantom updates)", f.name, len(row.violations))
+		}
+		if f.name != "partition" && row.errors > 0 {
+			return fmt.Errorf("%s: %d SLO violations on a fabric the reliable layer should repair", f.name, row.errors)
 		}
 	}
 	table.Render(out)
@@ -163,7 +147,7 @@ func RunKV(cfg KVConfig, out io.Writer) error {
 
 func us(d time.Duration) float64 { return float64(d) / 1e3 }
 
-// kvCell is one fabric×mode measurement, merged across PEs.
+// kvCell is one fabric's measurement, merged across PEs.
 type kvCell struct {
 	hists      [kv.NumOpClasses]*telemetry.Histogram
 	offered    float64 // aggregate req/s across PEs
@@ -172,7 +156,7 @@ type kvCell struct {
 	violations []string
 }
 
-func runKVCell(cfg KVConfig, f kvFabric, aggBuf int) (*kvCell, error) {
+func runKVCell(cfg KVConfig, f kvFabric) (*kvCell, error) {
 	plan := f.plan()
 	rcfg := runtime.Config{
 		PEs:           cfg.PEs,
@@ -180,7 +164,6 @@ func runKVCell(cfg KVConfig, f kvFabric, aggBuf int) (*kvCell, error) {
 		Lamellae:      runtime.LamellaeShmem,
 		Faults:        plan,
 		RetryInterval: 2 * time.Millisecond,
-		AggBufSize:    aggBuf,
 	}
 	if f.timeout > 0 {
 		rcfg.DeliveryTimeout = f.timeout

@@ -47,8 +47,10 @@ type Config struct {
 	Lamellae LamellaeKind
 	// Cost is the network cost model for the sim lamellae.
 	Cost fabric.CostModel
-	// AggThresholdBytes is the aggregation buffer size; a destination
-	// queue flushes when it exceeds this. The paper's default is 100 KB.
+	// AggThresholdBytes is the byte threshold of both coalescers: a
+	// runtime destination queue ships its AM batch once it exceeds this,
+	// and an array element-op frame ships once its estimated payload
+	// reaches it. The paper's default is 100 KB.
 	AggThresholdBytes int
 	// FlushInterval is the background flusher period that bounds the
 	// latency of sparse traffic.
@@ -60,21 +62,11 @@ type Config struct {
 	RingSlots int
 	// CollectiveSlotBytes caps the per-PE payload of fabric collectives.
 	CollectiveSlotBytes int
-	// ArrayBatchSize is the maximum operations per sub-batch when the
-	// array layer splits batched element operations by destination (the
-	// BALE experiments limit aggregation to 10 000 operations).
+	// ArrayBatchSize is the op cap of every array element-op frame (the
+	// BALE experiments limit aggregation to 10 000 operations) and the
+	// call size from which a batched element op fills its own private
+	// per-destination frames instead of the shared, flush-hooked ones.
 	ArrayBatchSize int
-	// AggBufSize is the array layer's per-destination operation
-	// aggregation buffer size in estimated payload bytes: element ops on
-	// AtomicArray/LocalLockArray/UnsafeArray coalesce per destination and
-	// the buffer flushes once it crosses this. 0 selects the default
-	// (128 KiB); negative disables array-op aggregation entirely (every
-	// batch dispatches directly, the pre-aggregation behavior).
-	AggBufSize int
-	// AggFlushOps flushes an array-op aggregation buffer once it holds
-	// this many element operations regardless of payload size, bounding
-	// buffered-op latency for tiny-payload mixes. Default 8192.
-	AggFlushOps int
 	// Faults attaches a fault-injection plan to the reliable wire layer:
 	// every frame transmission between PEs consults the plan and may be
 	// dropped, duplicated, reordered, or delayed (see fabric.FaultPlan).
@@ -178,12 +170,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ArrayBatchSize <= 0 {
 		c.ArrayBatchSize = 10_000
-	}
-	if c.AggBufSize == 0 {
-		c.AggBufSize = 128 << 10
-	}
-	if c.AggFlushOps <= 0 {
-		c.AggFlushOps = 8192
 	}
 	if c.RetryInterval <= 0 {
 		c.RetryInterval = 20 * time.Millisecond

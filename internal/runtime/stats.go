@@ -143,7 +143,7 @@ func (s Stats) String() string {
 //
 //	LAMELLAR_THREADS     workers per PE
 //	LAMELLAR_AGG_SIZE    aggregation buffer threshold in bytes
-//	LAMELLAR_OP_BATCH    array-operation sub-batch size
+//	LAMELLAR_OP_BATCH    array element-op frame op cap (ArrayBatchSize)
 //	LAMELLAR_LAMELLAE    sim | shmem | smp
 //	LAMELLAR_RING_SLOTS  descriptor ring depth (sim lamellae)
 //	LAMELLAR_TRACE       1/true enables the telemetry subsystem

@@ -32,6 +32,12 @@ import "sync/atomic"
 //     arbitrate against thieves via the same CAS on top; non-final pops
 //     need no CAS because thieves can never reach them (top < bottom-1
 //     at the owner's read, and top only moves through CAS winners).
+//   - Only the owner writes slots. A finished task must not stay
+//     reachable from its slot (it pins everything the closure captures
+//     until the ring wraps), so pop overwrites the slot it claimed with
+//     noopTask, and push and sweep clear the slots thieves claimed,
+//     [swept, top). A thief never clears its slot after the CAS: by then
+//     the owner may already have reused it after a wraparound.
 //
 // Why stealing is one CAS per task rather than one CAS claiming half the
 // range: a multi-slot claim CAS(top: t → t+n) is unsound against the
@@ -45,9 +51,17 @@ type deque struct {
 	top    atomic.Int64 // next index to steal (thieves CAS)
 	_      [56]byte     // keep top and bottom on separate cache lines
 	bottom atomic.Int64 // next index to push (owner only)
-	_      [56]byte
+	swept  int64        // slots below this index are cleared (owner only)
+	_      [48]byte
 	slots  [dequeCap]dqSlot
 }
+
+// noopTask replaces a claimed task in its slot so the slot stops
+// referencing the task's closure.
+var noopTask Task = func() {}
+
+// sweepMax bounds the slots one sweep clears, keeping push O(1).
+const sweepMax = 16
 
 // dequeCap is the per-worker ring capacity; must be a power of two.
 // 256 matches Tokio's local run queue.
@@ -82,6 +96,7 @@ func (d *deque) push(e taskEntry) bool {
 	if b-t >= dequeCap {
 		return false
 	}
+	d.sweepTo(t, b)
 	s := &d.slots[b&dequeMask]
 	s.fn.Store(e.fn)
 	s.ts.Store(e.spawnNs)
@@ -104,13 +119,32 @@ func (d *deque) pop() (taskEntry, bool) {
 	if t == b {
 		// final element: arbitrate with thieves
 		if !d.top.CompareAndSwap(t, t+1) {
-			// a thief won the last task
+			// a thief won the last task; sweep clears its slot
 			d.bottom.Store(b + 1)
 			return taskEntry{}, false
 		}
 		d.bottom.Store(b + 1)
 	}
+	s.fn.Store(noopTask)
 	return e, true
+}
+
+// sweep clears slots of tasks thieves already claimed (owner only).
+func (d *deque) sweep() {
+	d.sweepTo(d.top.Load(), d.bottom.Load())
+}
+
+// sweepTo clears up to sweepMax claimed slots in [swept, t), given the
+// owner's bottom b. Indices below b-dequeCap share their slot with a
+// live or future task and are skipped; a thief still reading a swept
+// slot fails its CAS, since top has passed that index.
+func (d *deque) sweepTo(t, b int64) {
+	lo := max(d.swept, b-dequeCap)
+	hi := min(t, lo+sweepMax)
+	for i := lo; i < hi; i++ {
+		d.slots[i&dequeMask].fn.Store(noopTask)
+	}
+	d.swept = max(d.swept, hi)
 }
 
 // steal removes the oldest task (any goroutine, FIFO): read the slot,

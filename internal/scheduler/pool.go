@@ -364,10 +364,12 @@ func (p *Pool) exitSearching() {
 	}
 }
 
-// refill moves a batch of injector tasks into w's deque under one shard
-// lock, returning the first to run now. The rest are pushed in reverse
-// so the owner's LIFO pops replay them in FIFO order.
+// refill clears w's stolen deque slots, then moves a batch of injector
+// tasks into the deque under one shard lock, returning the first to run
+// now. The rest are pushed in reverse so the owner's LIFO pops replay
+// them in FIFO order.
 func (p *Pool) refill(w int, d *deque) (taskEntry, bool) {
+	d.sweep()
 	buf := p.scratch[w]
 	max := int(d.free()) + 1
 	if max > len(buf) {

@@ -238,3 +238,23 @@ func TestFixedSliceAllWidthsRoundTrip(t *testing.T) {
 	roundTripSlice(t, []uint{0, 1 << 40})
 	roundTripSlice(t, []uintptr{0, 42})
 }
+
+// A length prefix whose byte size overflows must fail the decoder, not
+// wrap around the bounds check into a slicing panic.
+func TestNumericSliceLengthOverflow(t *testing.T) {
+	e := NewEncoder(16)
+	e.PutUvarint(1<<61 + 1)
+	e.PutU8(0) // alignment pad
+	e.PutU64(0)
+	for name, decode := range map[string]func(*Decoder){
+		"NumericSlice":            func(d *Decoder) { NumericSlice[uint64](d) },
+		"NumericSliceView":        func(d *Decoder) { NumericSliceView[uint64](d) },
+		"NumericSliceViewAligned": func(d *Decoder) { NumericSliceViewAligned[uint64](d) },
+	} {
+		d := NewDecoder(e.Bytes())
+		decode(d)
+		if d.Err() == nil {
+			t.Errorf("%s accepted a %d-element prefix over 9 bytes", name, uint64(1<<61+1))
+		}
+	}
+}

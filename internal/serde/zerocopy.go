@@ -49,7 +49,7 @@ func NumericSlice[T Number](d *Decoder) []T {
 	if d.err != nil {
 		return nil
 	}
-	if n*uint64(w) > uint64(d.Remaining()) {
+	if n > uint64(d.Remaining())/uint64(w) {
 		d.fail(ErrShortBuffer)
 		return nil
 	}
@@ -130,7 +130,7 @@ func NumericSliceViewAligned[T Number](d *Decoder) []T {
 		return []T{}
 	}
 	d.Align(int(unsafe.Alignof(zero)))
-	if n*uint64(w) > uint64(d.Remaining()) {
+	if n > uint64(d.Remaining())/uint64(w) {
 		d.fail(ErrShortBuffer)
 		return nil
 	}
@@ -172,7 +172,7 @@ func NumericSliceView[T Number](d *Decoder) []T {
 	if d.err != nil {
 		return nil
 	}
-	if n*uint64(w) > uint64(d.Remaining()) {
+	if n > uint64(d.Remaining())/uint64(w) {
 		d.fail(ErrShortBuffer)
 		return nil
 	}

@@ -125,20 +125,19 @@ const (
 	FlushSize FlushReason = iota
 	// FlushOps: the buffer crossed its op-count cap.
 	FlushOps
-	// FlushDrain: a drain cycle (WaitAll/Barrier/BlockOn/explicit flush).
+	// FlushDrain: a drain cycle (WaitAll/Barrier/BlockOn/explicit flush),
+	// or the end of a large array call for its part-filled frames.
 	FlushDrain
 	// FlushTimer: the background flusher tick.
 	FlushTimer
-	// FlushRun: a single run large enough to ship immediately on its own.
-	FlushRun
 
-	numFlushReasons = int(FlushRun) + 1
+	numFlushReasons = int(FlushTimer) + 1
 	// NumFlushReasons is the number of distinct flush reasons, for
 	// callers keeping per-reason counter arrays.
 	NumFlushReasons = numFlushReasons
 )
 
-var flushReasonNames = [numFlushReasons]string{"size", "ops", "drain", "timer", "run"}
+var flushReasonNames = [numFlushReasons]string{"size", "ops", "drain", "timer"}
 
 func (r FlushReason) String() string {
 	if int(r) < numFlushReasons {
