@@ -63,7 +63,7 @@ fault-stress:
 # the -benchmem snapshot of the aggregated micro-benchmark is printed so
 # regressions against the bench_results.txt ALLOC table are visible.
 bench-allocs:
-	$(GO) test -count=1 -run 'TestAllocBudget' -v . ./internal/runtime
+	$(GO) test -count=1 -run 'TestAllocBudget' -v . ./internal/runtime ./internal/array
 	$(GO) test -run xxx -bench 'BenchmarkAtomicOpsAggregated$$' -benchtime=200x -benchmem -count=1 .
 
 # KV serving smoke (ISSUE 10): the sharded store must keep an exact

@@ -2,8 +2,10 @@ package array
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/runtime"
 	"repro/internal/scheduler"
@@ -17,8 +19,11 @@ import (
 // envelope, encode, and allocation each. Contiguous same-destination
 // index runs collapse into a single run-length entry, so a contiguous
 // batch of N ops costs O(1) frame entries and the payload moves through
-// the zero-copy serde fast path on both sides. aggAM is the only wire
-// format for element ops and applyAggBatch the only receive kernel.
+// the zero-copy serde fast path on both sides. The single-element ops of
+// a large call go to its frames' scatter sections instead: one op byte
+// per section and a uint32 offset (plus a value unless broadcast) per
+// op. aggAM is the only wire format for element ops and applyAggBatch
+// the only receive kernel.
 //
 // The size of a call picks who owns the frames. Scalar ops and calls of
 // fewer than Config.ArrayBatchSize indices share one locked frame per
@@ -31,11 +36,14 @@ import (
 // Config.AggThresholdBytes estimated payload bytes or
 // Config.ArrayBatchSize element ops.
 //
-// Ordering: entries in the same frame apply at the destination
-// sequentially in submission order; ops in different frames or to
-// different destinations are unordered with respect to each other,
-// exactly like independent AMs. Fetch-style results route back to each
-// originating op's future in submission order.
+// Ordering: a frame's run entries apply at the destination sequentially
+// in submission order, then its scatter section applies in its own
+// submission order, so an index that appears both as a single op and
+// inside a run of one large call may see them in a different order than
+// submitted. Ops in different frames (the frames of one large call
+// included) or to different destinations are unordered with respect to
+// each other, exactly like independent AMs. Fetch-style results route
+// back to each originating op's future in submission order.
 //
 // Large range transfers (Put/Get and friends) bypass this layer: they
 // already travel as single rangePutAM/rangeGetAM payloads or cross over
@@ -48,9 +56,25 @@ const (
 	entryFetch     = 0x40 // previous values are returned for this entry
 )
 
+// Frame flag layout (aggAM.Flags). A frame without a scatter section
+// sets at most frameWantOut, so small-call and scalar frames keep their
+// byte layout (TestSharedFrameEncodingUnchanged pins it).
+const (
+	frameWantOut = 0x01 // the frame returns the previous values it fetched
+	frameScatter = 0x02 // a scatter section follows the run entries
+)
+
 // aggEntryOverhead estimates the wire cost of one buffered entry (op
-// byte + fixed-width start and count) for the flush-threshold check.
-const aggEntryOverhead = 17
+// byte + fixed-width start and count) for the flush-threshold check;
+// scatterEntryBytes is the cost of one scatter-section offset.
+const (
+	aggEntryOverhead  = 17
+	scatterEntryBytes = 4
+)
+
+// scatterMaxOff is the exclusive bound of a scatter offset: the all-ones
+// uint32 is never a valid offset, so a frame carrying it fails whole.
+const scatterMaxOff = 1<<32 - 1
 
 // aggRoute remembers where one buffered entry's results go. In a shared
 // frame a nil cd means the entry came through the fire-and-forget scalar
@@ -72,6 +96,19 @@ type aggBatch[T serde.Number] struct {
 	vals   []T
 	casOld []T
 	routes []aggRoute[T]
+
+	// The scatter section of a large call's private frame: every
+	// single-element op of the call in one op byte (sop), one local
+	// offset each, and a value column that holds one broadcast value,
+	// one value per offset, or nothing (loads). A fetching call also
+	// records where each offset's previous value lands in its result
+	// slice sout.
+	sop   uint8
+	soffs []uint32
+	svals []T
+	spos  []int32
+	sout  []T
+
 	nops   int   // buffered element ops
 	bytes  int   // estimated wire payload bytes
 	openNs int64 // telemetry clock when the first op landed (0 = untraced)
@@ -108,6 +145,12 @@ func (g *aggregator[T]) resolveBatch(b *aggBatch[T], res []T, err error) {
 			r.cd.Done(err)
 		} else if b.cd == nil {
 			shared++
+		}
+	}
+	if err == nil && len(b.spos) > 0 {
+		// The section's previous values follow the run entries' in res.
+		for k, v := range res[ri : ri+len(b.spos)] {
+			b.sout[b.spos[k]] = v
 		}
 	}
 	if b.cd != nil {
@@ -149,10 +192,14 @@ type aggregator[T serde.Number] struct {
 	// batchOp fills private frames.
 	bufSize  int
 	flushOps int
-	flushFn  func() // FlushBatches method value, bound once (await hooks)
-	unhook   func() // unregisters the World flush hook (last local drop)
-	shards   []aggShard[T]
-	spares   sync.Pool // *aggBatch[T]
+	// scatterCap is the most scatter offsets one frame can take before a
+	// threshold ships it; private frames presize their scatter columns
+	// to it, so filling them never grows a slice.
+	scatterCap int
+	flushFn    func() // FlushBatches method value, bound once (await hooks)
+	unhook     func() // unregisters the World flush hook (last local drop)
+	shards     []aggShard[T]
+	spares     sync.Pool // *aggBatch[T]
 
 	// Shared completion state for fire-and-forget scalar ops: every such
 	// op bumps pending and hands the caller sharedF, a reusable condition
@@ -181,13 +228,14 @@ func (c *core[T]) agg() *aggregator[T] {
 	}
 	cfg := c.w.Config()
 	g := &aggregator[T]{
-		st:       s,
-		w:        c.w,
-		team:     c.team,
-		elemSz:   serde.SizeOf[T](),
-		bufSize:  cfg.AggThresholdBytes,
-		flushOps: cfg.ArrayBatchSize,
-		shards:   make([]aggShard[T], c.team.Size()),
+		st:         s,
+		w:          c.w,
+		team:       c.team,
+		elemSz:     serde.SizeOf[T](),
+		bufSize:    cfg.AggThresholdBytes,
+		flushOps:   cfg.ArrayBatchSize,
+		scatterCap: min(cfg.ArrayBatchSize, cfg.AggThresholdBytes/scatterEntryBytes+1),
+		shards:     make([]aggShard[T], c.team.Size()),
 	}
 	g.spares.New = func() any {
 		b := new(aggBatch[T])
@@ -250,6 +298,7 @@ func (g *aggregator[T]) putBatch(b *aggBatch[T]) {
 	}
 	b.ops, b.starts, b.counts = b.ops[:0], b.starts[:0], b.counts[:0]
 	b.vals, b.casOld, b.routes = b.vals[:0], b.casOld[:0], b.routes[:0]
+	b.sop, b.soffs, b.svals, b.spos, b.sout = 0, b.soffs[:0], b.svals[:0], b.spos[:0], nil
 	b.nops, b.bytes, b.openNs, b.fetch, b.cd = 0, 0, 0, false, nil
 	g.spares.Put(b)
 }
@@ -288,26 +337,38 @@ func (g *aggregator[T]) dispatch(rank int, b *aggBatch[T], reason telemetry.Flus
 			Arg1: int64(g.team.WorldPE(rank)), Arg2: int64(b.nops),
 		})
 	}
-	b.am = aggAM[T]{
-		ID:      g.st.id,
-		WantOut: b.fetch,
-		Ops:     b.ops,
-		Starts:  b.starts,
-		Counts:  b.counts,
-		Vals:    b.vals,
-		CasOld:  b.casOld,
-	}
+	b.seal(g.st.id)
 	// The frame's pre-bound callback resolves routes and recycles the
 	// frame; the AM serializes synchronously during launch, so reusing
 	// b.am and the column storage afterwards is safe.
 	g.w.ExecAMCallback(g.team.WorldPE(rank), &b.am, b.onDone)
 }
 
+// seal points the frame's AM at its columns.
+func (b *aggBatch[T]) seal(id uint64) {
+	b.am = aggAM[T]{
+		ID:     id,
+		Ops:    b.ops,
+		Starts: b.starts,
+		Counts: b.counts,
+		Vals:   b.vals,
+		CasOld: b.casOld,
+	}
+	if b.fetch {
+		b.am.Flags |= frameWantOut
+	}
+	if len(b.soffs) > 0 {
+		b.am.Flags |= frameScatter
+		b.am.SOp, b.am.SOffs, b.am.SVals = b.sop, b.soffs, b.svals
+	}
+}
+
 // ship sends a full or finished private frame to rank, or applies it
 // inline when rank is this PE: owner-local frames never touch the wire.
 func (g *aggregator[T]) ship(rank int, b *aggBatch[T], reason telemetry.FlushReason) {
 	if pe := g.team.WorldPE(rank); pe == g.w.MyPE() {
-		res, err := g.st.applyAggBatch(pe, rank, b.ops, b.starts, b.counts, b.vals, b.casOld)
+		b.seal(g.st.id)
+		res, err := g.st.applyAggBatch(pe, rank, &b.am)
 		g.resolveBatch(b, res, err)
 		g.putBatch(b)
 		return
@@ -405,6 +466,19 @@ func (g *aggregator[T]) append(rank int, op Op, local, n int,
 	}
 }
 
+// private returns a large call's own frame for rank, opening it (with
+// one reservation on the call's countdown) on first use.
+func (g *aggregator[T]) private(frames []*aggBatch[T], rank int, cd *scheduler.Countdown[[]T]) *aggBatch[T] {
+	b := frames[rank]
+	if b == nil {
+		b = g.open(rank, g.spares.Get().(*aggBatch[T]))
+		b.cd = cd
+		cd.Add(1)
+		frames[rank] = b
+	}
+	return b
+}
+
 // addPrivate adds one run to a large call's own frame for rank, shipping
 // the frame once it is full. A run that fills a frame by itself ships at
 // once as a one-entry frame whose values alias the caller's slice, which
@@ -422,17 +496,65 @@ func (g *aggregator[T]) addPrivate(frames []*aggBatch[T], rank int, op Op, local
 		g.ship(rank, b, reason)
 		return
 	}
-	b := frames[rank]
-	if b == nil {
-		b = g.open(rank, g.spares.Get().(*aggBatch[T]))
-		b.cd = cd
-		cd.Add(1)
-		frames[rank] = b
-	}
+	b := g.private(frames, rank, cd)
 	b.add(op, local, n, broadcast, evals, ecas, eout, nil, g.elemSz)
 	if reason, full := g.full(b); full {
 		frames[rank] = nil
 		g.ship(rank, b, reason)
+	}
+}
+
+// addScatter adds the single-element op at position pos of a large call
+// to the scatter section of the call's frame for rank, shipping the frame
+// once it is full. vals is the call's whole value column (one value or
+// none when broadcast); out, when non-nil, receives the previous value.
+func (g *aggregator[T]) addScatter(frames []*aggBatch[T], rank int, op Op, local, pos int,
+	vals, out []T, cd *scheduler.Countdown[[]T], broadcast bool) {
+	b := g.private(frames, rank, cd)
+	if len(b.soffs) == 0 {
+		g.openScatter(b, op, vals, out, broadcast)
+	}
+	b.soffs = append(b.soffs, uint32(local))
+	if op != OpLoad && !broadcast {
+		b.svals = append(b.svals, vals[pos])
+		b.bytes += g.elemSz
+	}
+	if out != nil {
+		b.spos = append(b.spos, int32(pos))
+	}
+	b.nops++
+	b.bytes += scatterEntryBytes
+	if reason, full := g.full(b); full {
+		frames[rank] = nil
+		g.ship(rank, b, reason)
+	}
+}
+
+// openScatter starts b's scatter section for op, presizing the columns
+// the call will fill to scatterCap.
+func (g *aggregator[T]) openScatter(b *aggBatch[T], op Op, vals, out []T, broadcast bool) {
+	if cap(b.soffs) < g.scatterCap {
+		b.soffs = make([]uint32, 0, g.scatterCap)
+	}
+	b.sop = uint8(op)
+	if out != nil {
+		b.sop |= entryFetch
+		b.fetch, b.sout = true, out
+		if cap(b.spos) < g.scatterCap {
+			b.spos = make([]int32, 0, g.scatterCap)
+		}
+	}
+	switch {
+	case op == OpLoad:
+	case broadcast:
+		var v T
+		if len(vals) > 0 {
+			v = vals[0]
+		}
+		b.svals = append(b.svals, v)
+		b.bytes += g.elemSz
+	case cap(b.svals) < g.scatterCap:
+		b.svals = make([]T, 0, g.scatterCap)
 	}
 }
 
@@ -442,7 +564,9 @@ func (g *aggregator[T]) addPrivate(frames []*aggBatch[T], rank int, op Op, local
 // owner-local runs inline and buffer remote runs in the shared frames;
 // the returned future carries an await hook that flushes them. Larger
 // calls fill private frames, owner-local ones included, and ship them
-// all before returning. The future resolves once every run completed,
+// all before returning; their single-element runs (all of a random
+// workload) go to each frame's scatter section, except CAS and offsets
+// that do not fit a uint32. The future resolves once every run completed,
 // with previous values in input order for fetch-style ops.
 func (c *core[T]) batchOp(op Op, fetch bool, idxs []int, vals, casOld []T) *scheduler.Future[[]T] {
 	if len(vals) > 1 && len(vals) != len(idxs) {
@@ -475,9 +599,11 @@ func (c *core[T]) batchOp(op Op, fetch bool, idxs []int, vals, casOld []T) *sche
 	}
 
 	me := c.w.MyPE()
-	geom := c.st.geom
+	geom := &c.st.geom
 	broadcast := len(vals) <= 1 && op != OpLoad
 	mergeRuns := geom.dist == Block || geom.npes == 1
+	// Scatter positions are int32 slots of out.
+	scatter := frames != nil && op != OpCAS && (out == nil || int64(len(idxs)) <= math.MaxInt32)
 	i := 0
 	for i < len(idxs) {
 		gi := c.globalIndex(idxs[i])
@@ -497,6 +623,11 @@ func (c *core[T]) batchOp(op Op, fetch bool, idxs []int, vals, casOld []T) *sche
 			for n < limit && idxs[i+n] == base+n {
 				n++
 			}
+		}
+		if n == 1 && scatter && uint64(local) < scatterMaxOff {
+			g.addScatter(frames, rank, op, local, i, vals, out, cd, broadcast)
+			i++
+			continue
 		}
 		var evals []T
 		if op != OpLoad {
@@ -614,16 +745,21 @@ func (c *core[T]) singleOp(op Op, fetch bool, idx int, val, casOld T) *scheduler
 
 // ----- destination-side application ----------------------------------------
 
-// aggAM carries one flushed destination frame: columnar entries plus the
-// packed operand values, all moving through the zero-copy slice codec.
+// aggAM carries one flushed destination frame: columnar run entries plus
+// the packed operand values, then, when Flags has frameScatter, the
+// scatter section (op byte, uint32 offsets, values), all moving through
+// the zero-copy slice codec.
 type aggAM[T serde.Number] struct {
-	ID      uint64
-	WantOut bool
-	Ops     []uint8
-	Starts  []int64
-	Counts  []int64
-	Vals    []T
-	CasOld  []T
+	ID     uint64
+	Flags  uint8
+	Ops    []uint8
+	Starts []int64
+	Counts []int64
+	Vals   []T
+	CasOld []T
+	SOp    uint8
+	SOffs  []uint32
+	SVals  []T
 }
 
 // ResetLamellar clears the AM for its decode pool (RegisterAMPooled):
@@ -633,47 +769,89 @@ func (a *aggAM[T]) ResetLamellar() { *a = aggAM[T]{} }
 
 func (a *aggAM[T]) MarshalLamellar(e *serde.Encoder) {
 	e.PutUvarint(a.ID)
-	e.PutBool(a.WantOut)
+	e.PutU8(a.Flags)
 	e.PutBytes(a.Ops)
 	serde.PutNumericSliceAligned(e, a.Starts)
 	serde.PutNumericSliceAligned(e, a.Counts)
 	serde.PutNumericSliceAligned(e, a.Vals)
 	serde.PutNumericSliceAligned(e, a.CasOld)
+	if a.Flags&frameScatter != 0 {
+		e.PutU8(a.SOp)
+		serde.PutNumericSliceAligned(e, a.SOffs)
+		serde.PutNumericSliceAligned(e, a.SVals)
+	}
 }
 
 func (a *aggAM[T]) UnmarshalLamellar(d *serde.Decoder) error {
 	// Views alias the received batch, which the runtime never reuses;
 	// they are consumed inside Exec on the destination pool.
 	a.ID = d.Uvarint()
-	a.WantOut = d.Bool()
+	a.Flags = d.U8()
 	a.Ops = d.Bytes()
 	a.Starts = serde.NumericSliceViewAligned[int64](d)
 	a.Counts = serde.NumericSliceViewAligned[int64](d)
 	a.Vals = serde.NumericSliceViewAligned[T](d)
 	a.CasOld = serde.NumericSliceViewAligned[T](d)
+	if a.Flags&frameScatter != 0 {
+		a.SOp = d.U8()
+		a.SOffs = serde.NumericSliceViewAligned[uint32](d)
+		a.SVals = serde.NumericSliceViewAligned[T](d)
+	}
 	return d.Err()
 }
 
 func (a *aggAM[T]) Exec(ctx *runtime.Context) any {
 	st, rank := lookupState[T](ctx, a.ID)
-	out, err := st.applyAggBatch(ctx.World.MyPE(), rank, a.Ops, a.Starts, a.Counts, a.Vals, a.CasOld)
+	out, err := st.applyAggBatch(ctx.World.MyPE(), rank, a)
 	if err != nil {
 		panic(err) // converted to an origin-side error by the runtime
 	}
-	if a.WantOut {
+	if a.Flags&frameWantOut != 0 {
 		return out
+	}
+	return nil
+}
+
+// checkOp refuses an op the array's kind or element type cannot take: a
+// write to a ReadOnlyArray, or an integer-only op on floats.
+func checkOp(kind Kind, isFloat bool, op Op) error {
+	if op.isWrite() && kind == KindReadOnly {
+		return fmt.Errorf("array: %v on ReadOnlyArray", op)
+	}
+	if isFloat && (op == OpRem || (op >= OpAnd && op <= OpShr)) {
+		return fmt.Errorf("array: %v on floating-point array", op)
+	}
+	return nil
+}
+
+// checkDivisors refuses an integer Div or Rem whose operands hold a zero.
+func checkDivisors[T serde.Number](isFloat bool, op Op, vals []T) error {
+	if isFloat || (op != OpDiv && op != OpRem) {
+		return nil
+	}
+	for _, v := range vals {
+		if v == 0 {
+			return fmt.Errorf("array: integer %v by zero", op)
+		}
 	}
 	return nil
 }
 
 // checkFrame validates a frame against rank's local length n before any
 // entry applies, so a malformed frame fails whole instead of panicking
-// part-way: the columns agree in length, every flag byte names a known
-// op and modifiers, every run lies in [0, n), the value columns hold
-// exactly what the entries consume, and no entry writes a ReadOnlyArray,
-// divides an integer by zero, or asks a float for an integer-only op.
-// It returns how many previous values the frame fetches.
-func checkFrame[T serde.Number](kind Kind, n int, ops []uint8, starts, counts []int64, vals, casOld []T) (int, error) {
+// part-way: the frame flags are known, the columns agree in length,
+// every flag byte names a known op and modifiers, every run and scatter
+// offset lies in [0, n), the value columns hold exactly what the entries
+// consume, and no entry writes a ReadOnlyArray, divides an integer by
+// zero, or asks a float for an integer-only op. The scatter section's op
+// is never CAS and its value column holds nothing (loads), one broadcast
+// value, or one value per offset. It returns how many previous values
+// the frame fetches.
+func checkFrame[T serde.Number](kind Kind, n int, a *aggAM[T]) (int, error) {
+	ops, starts, counts, vals, casOld := a.Ops, a.Starts, a.Counts, a.Vals, a.CasOld
+	if a.Flags&^(frameWantOut|frameScatter) != 0 {
+		return 0, fmt.Errorf("array: agg frame has bad flags %#x", a.Flags)
+	}
 	if len(starts) != len(ops) || len(counts) != len(ops) {
 		return 0, fmt.Errorf("array: agg frame has %d ops, %d starts, %d counts", len(ops), len(starts), len(counts))
 	}
@@ -689,11 +867,8 @@ func checkFrame[T serde.Number](kind Kind, n int, ops []uint8, starts, counts []
 		if start < 0 || cnt < 0 || cnt > int64(n)-start {
 			return 0, fmt.Errorf("array: agg entry [%d,%d) out of local range [0,%d)", start, start+cnt, n)
 		}
-		if op.isWrite() && kind == KindReadOnly {
-			return 0, fmt.Errorf("array: %v on ReadOnlyArray", op)
-		}
-		if isFloat && (op == OpRem || (op >= OpAnd && op <= OpShr)) {
-			return 0, fmt.Errorf("array: %v on floating-point array", op)
+		if err := checkOp(kind, isFloat, op); err != nil {
+			return 0, err
 		}
 		if op != OpLoad {
 			w := int(cnt)
@@ -703,12 +878,8 @@ func checkFrame[T serde.Number](kind Kind, n int, ops []uint8, starts, counts []
 			if w > len(vals)-nv {
 				return 0, fmt.Errorf("array: agg frame short of operand values")
 			}
-			if !isFloat && (op == OpDiv || op == OpRem) {
-				for _, v := range vals[nv : nv+w] {
-					if v == 0 {
-						return 0, fmt.Errorf("array: integer %v by zero", op)
-					}
-				}
+			if err := checkDivisors(isFloat, op, vals[nv:nv+w]); err != nil {
+				return 0, err
 			}
 			nv += w
 		}
@@ -723,18 +894,45 @@ func checkFrame[T serde.Number](kind Kind, n int, ops []uint8, starts, counts []
 		return 0, fmt.Errorf("array: agg frame carries %d values and %d CAS operands, entries use %d and %d",
 			len(vals), len(casOld), nv, nc)
 	}
+	if a.Flags&frameScatter == 0 {
+		return nout, nil
+	}
+	f, offs, svals := a.SOp, a.SOffs, a.SVals
+	op := Op(f & entryOpMask)
+	if f&^(entryOpMask|entryFetch) != 0 || op >= OpCAS || (op == OpLoad && f&entryFetch == 0) {
+		return 0, fmt.Errorf("array: agg scatter section has bad op %#x", f)
+	}
+	if err := checkOp(kind, isFloat, op); err != nil {
+		return 0, err
+	}
+	if op == OpLoad && len(svals) != 0 || op != OpLoad && len(svals) != 1 && len(svals) != len(offs) {
+		return 0, fmt.Errorf("array: agg scatter section has %d values for %d offsets", len(svals), len(offs))
+	}
+	if err := checkDivisors(isFloat, op, svals); err != nil {
+		return 0, err
+	}
+	var hi uint32
+	for _, o := range offs {
+		hi = max(hi, o)
+	}
+	if len(offs) > 0 && (hi == scatterMaxOff || int64(hi) >= int64(n)) {
+		return 0, fmt.Errorf("array: agg scatter offset %d out of local range [0,%d)", hi, n)
+	}
+	if f&entryFetch != 0 {
+		nout += len(offs)
+	}
 	return nout, nil
 }
 
-// applyAggBatch executes a frame's entries sequentially on rank's local
-// data, honoring the array's kind, and returns the concatenated previous
-// values of fetch-flagged entries. A malformed frame returns an error
-// and applies nothing.
-func (s *sharedState[T]) applyAggBatch(worldPE, rank int, ops []uint8, starts, counts []int64,
-	vals, casOld []T) ([]T, error) {
+// applyAggBatch executes a frame on rank's local data, honoring the
+// array's kind: its run entries sequentially, then its scatter section.
+// It returns the concatenated previous values of fetch-flagged entries,
+// the section's last. A malformed frame returns an error and applies
+// nothing.
+func (s *sharedState[T]) applyAggBatch(worldPE, rank int, a *aggAM[T]) ([]T, error) {
 	kind := Kind(s.kind.Load())
 	data := s.region.Local(worldPE)
-	nout, err := checkFrame(kind, s.geom.localLen(rank), ops, starts, counts, vals, casOld)
+	nout, err := checkFrame(kind, s.geom.localLen(rank), a)
 	if err != nil {
 		return nil, err
 	}
@@ -742,11 +940,12 @@ func (s *sharedState[T]) applyAggBatch(worldPE, rank int, ops []uint8, starts, c
 	if nout > 0 {
 		out = make([]T, nout)
 	}
+	scatter := a.Flags&frameScatter != 0
 	if kind == KindLocalLock {
 		// One rank-lock acquisition for the whole frame — the point of
 		// aggregating LocalLockArray ops.
-		anyWrite := false
-		for _, f := range ops {
+		anyWrite := scatter && Op(a.SOp&entryOpMask).isWrite()
+		for _, f := range a.Ops {
 			if Op(f & entryOpMask).isWrite() {
 				anyWrite = true
 				break
@@ -761,11 +960,12 @@ func (s *sharedState[T]) applyAggBatch(worldPE, rank int, ops []uint8, starts, c
 			defer lk.RUnlock()
 		}
 	}
+	vals, casOld := a.Vals, a.CasOld
 	vi, ci, oi := 0, 0, 0
-	for k, f := range ops {
+	for k, f := range a.Ops {
 		op := Op(f & entryOpMask)
-		start := int(starts[k])
-		cnt := int(counts[k])
+		start := int(a.Starts[k])
+		cnt := int(a.Counts[k])
 		var evals []T
 		if op != OpLoad {
 			if f&entryBroadcast != 0 {
@@ -787,6 +987,13 @@ func (s *sharedState[T]) applyAggBatch(worldPE, rank int, ops []uint8, starts, c
 			oi += cnt
 		}
 		s.applyRun(rank, kind, op, start, data[start:start+cnt], evals, ecas, eout)
+	}
+	if scatter && len(a.SOffs) > 0 {
+		var sout []T
+		if a.SOp&entryFetch != 0 {
+			sout = out[oi:]
+		}
+		s.applyScatter(rank, kind, Op(a.SOp&entryOpMask), data, a.SOffs, a.SVals, sout)
 	}
 	return out, nil
 }
@@ -907,6 +1114,90 @@ func plainRun[T serde.Number](op Op, seg, evals, ecas, eout []T) {
 			}
 		}
 	}
+}
+
+// applyScatter applies a scatter section: op at every offset of data,
+// with vals holding one broadcast value, one value per offset, or nothing
+// (loads); out, when non-nil, receives each previous value. The kind and
+// element-type dispatch happens once per section; nativeScatter and
+// plainScatter's load case are the tight loops of the measured shapes. For KindLocalLock the caller already holds the
+// rank lock.
+func (s *sharedState[T]) applyScatter(rank int, kind Kind, op Op, data []T, offs []uint32, vals, out []T) {
+	switch {
+	case kind == KindAtomic && s.native:
+		if nativeScatter(op, data, offs, vals, out) {
+			return
+		}
+		var zero T
+		for k, o := range offs {
+			prev := nativeApply(op, &data[o], valAtRun(vals, k), zero)
+			if out != nil {
+				out[k] = prev
+			}
+		}
+	case kind == KindAtomic:
+		locks := s.elocks[rank]
+		for k, o := range offs {
+			l := &locks[o]
+			lockElem(l)
+			cur := data[o]
+			if op.isWrite() {
+				data[o] = applyScalar(op, cur, valAtRun(vals, k))
+			}
+			unlockElem(l)
+			if out != nil {
+				out[k] = cur
+			}
+		}
+	default:
+		plainScatter(op, data, offs, vals, out)
+	}
+}
+
+// plainScatter is the unsynchronized scatter kernel (Unsafe, ReadOnly
+// loads, and LocalLock under the caller-held rank lock).
+func plainScatter[T serde.Number](op Op, data []T, offs []uint32, vals, out []T) {
+	switch {
+	case op == OpLoad:
+		out = out[:len(offs)]
+		for k, o := range offs {
+			out[k] = data[o]
+		}
+	default:
+		for k, o := range offs {
+			cur := data[o]
+			data[o] = applyScalar(op, cur, valAtRun(vals, k))
+			if out != nil {
+				out[k] = cur
+			}
+		}
+	}
+}
+
+// nativeScatter is the native-atomic scatter kernel for 64-bit integer
+// elements. It has a loop only for the shape a measured workload sends,
+// a histogram's broadcast add without fetch; int64 shares the uint64
+// loop, whose two's-complement add is bit-identical. It reports false for
+// any other element type or shape, which then takes the per-element
+// generic path.
+func nativeScatter[T serde.Number](op Op, data []T, offs []uint32, vals, out []T) bool {
+	if op != OpAdd || out != nil || len(vals) != 1 {
+		return false
+	}
+	switch any(data).(type) {
+	case []uint64, []int64:
+		d, v := asU64(data), asU64(vals)[0]
+		for _, o := range offs {
+			atomic.AddUint64(&d[o], v)
+		}
+		return true
+	}
+	return false
+}
+
+// asU64 views a slice of 8-byte integers as []uint64.
+func asU64[T serde.Number](s []T) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
 }
 
 // nativeRun is the native-atomic run kernel. The monomorphic fast paths

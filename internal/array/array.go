@@ -118,7 +118,7 @@ func newCore[T serde.Number](team *runtime.Team, glen int, dist Distribution, ki
 	}
 	w := team.World()
 	st := team.CollectiveKind("array.new", func() any {
-		geom := geometry{dist: dist, glen: glen, npes: team.Size()}
+		geom := newGeometry(dist, glen, team.Size())
 		s := &sharedState[T]{
 			id:     nextArrayID.Add(1),
 			geom:   geom,

@@ -38,23 +38,31 @@ type geometry struct {
 	dist Distribution
 	glen int
 	npes int
+	// Both layouts give the first r ranks q+1 elements and the rest q
+	// (q, r = glen/npes, glen%npes); under Block, cut = r·(q+1) is the
+	// first index past those longer blocks. They are computed once by
+	// newGeometry, so placing an index divides only by its block size.
+	q, r, cut int
+}
+
+// newGeometry returns the geometry of a glen-element array over npes ranks.
+func newGeometry(dist Distribution, glen, npes int) geometry {
+	q, r := glen/npes, glen%npes
+	return geometry{dist: dist, glen: glen, npes: npes, q: q, r: r, cut: r * (q + 1)}
 }
 
 // place returns the owning team rank and local index of global index i.
-func (g geometry) place(i int) (rank, local int) {
+func (g *geometry) place(i int) (rank, local int) {
 	if i < 0 || i >= g.glen {
 		panic(fmt.Sprintf("array: index %d out of range [0,%d)", i, g.glen))
 	}
 	switch g.dist {
 	case Block:
-		q, r := g.glen/g.npes, g.glen%g.npes
-		// first r ranks hold q+1 elements, the rest q
-		if cut := r * (q + 1); i < cut {
-			return i / (q + 1), i % (q + 1)
-		} else {
-			i -= r * (q + 1)
-			return r + i/q, i % q
+		if i < g.cut {
+			return i / (g.q + 1), i % (g.q + 1)
 		}
+		i -= g.cut
+		return g.r + i/g.q, i % g.q
 	case Cyclic:
 		return i % g.npes, i / g.npes
 	default:
@@ -63,14 +71,13 @@ func (g geometry) place(i int) (rank, local int) {
 }
 
 // globalOf is the inverse of place.
-func (g geometry) globalOf(rank, local int) int {
+func (g *geometry) globalOf(rank, local int) int {
 	switch g.dist {
 	case Block:
-		q, r := g.glen/g.npes, g.glen%g.npes
-		if rank < r {
-			return rank*(q+1) + local
+		if rank < g.r {
+			return rank*(g.q+1) + local
 		}
-		return r*(q+1) + (rank-r)*q + local
+		return g.cut + (rank-g.r)*g.q + local
 	case Cyclic:
 		return local*g.npes + rank
 	default:
@@ -79,27 +86,15 @@ func (g geometry) globalOf(rank, local int) int {
 }
 
 // localLen returns the number of elements rank owns.
-func (g geometry) localLen(rank int) int {
-	switch g.dist {
-	case Block:
-		q, r := g.glen/g.npes, g.glen%g.npes
-		if rank < r {
-			return q + 1
-		}
-		return q
-	case Cyclic:
-		n := g.glen / g.npes
-		if rank < g.glen%g.npes {
-			n++
-		}
-		return n
-	default:
-		panic("array: unknown distribution")
+func (g *geometry) localLen(rank int) int {
+	if rank < g.r {
+		return g.q + 1
 	}
+	return g.q
 }
 
 // maxLocalLen returns the largest per-rank length (symmetric allocation).
-func (g geometry) maxLocalLen() int {
+func (g *geometry) maxLocalLen() int {
 	if g.glen == 0 {
 		return 0
 	}
@@ -108,7 +103,7 @@ func (g geometry) maxLocalLen() int {
 
 // blockRanges yields maximal runs of consecutive global indices owned by a
 // single rank, for range-based transfers: fn(rank, localStart, gStart, n).
-func (g geometry) blockRanges(gStart, n int, fn func(rank, local, gIdx, runLen int)) {
+func (g *geometry) blockRanges(gStart, n int, fn func(rank, local, gIdx, runLen int)) {
 	if n == 0 {
 		return
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 func TestBlockPlacement(t *testing.T) {
-	g := geometry{dist: Block, glen: 10, npes: 3}
+	g := newGeometry(Block, 10, 3)
 	// 10 over 3 PEs: rank0 gets 4, ranks 1-2 get 3
 	wantLens := []int{4, 3, 3}
 	for r, want := range wantLens {
@@ -27,7 +27,7 @@ func TestBlockPlacement(t *testing.T) {
 }
 
 func TestCyclicPlacement(t *testing.T) {
-	g := geometry{dist: Cyclic, glen: 7, npes: 3}
+	g := newGeometry(Cyclic, 7, 3)
 	wantLens := []int{3, 2, 2}
 	for r, want := range wantLens {
 		if got := g.localLen(r); got != want {
@@ -48,7 +48,7 @@ func TestPlacementBijectionProperty(t *testing.T) {
 	check := func(dist Distribution, glen16, npes8 uint8) bool {
 		glen := int(glen16)
 		npes := int(npes8)%16 + 1
-		g := geometry{dist: dist, glen: glen, npes: npes}
+		g := newGeometry(dist, glen, npes)
 		seen := make(map[[2]int]bool)
 		sumLens := 0
 		for r := 0; r < npes; r++ {
@@ -87,7 +87,7 @@ func TestPlacementBijectionProperty(t *testing.T) {
 
 func TestBlockRangesCoverage(t *testing.T) {
 	for _, dist := range []Distribution{Block, Cyclic} {
-		g := geometry{dist: dist, glen: 23, npes: 4}
+		g := newGeometry(dist, 23, 4)
 		covered := make([]bool, 23)
 		g.blockRanges(3, 17, func(rank, local, gIdx, runLen int) {
 			for k := 0; k < runLen; k++ {
@@ -113,7 +113,7 @@ func TestBlockRangesCoverage(t *testing.T) {
 }
 
 func TestPlaceOutOfRangePanics(t *testing.T) {
-	g := geometry{dist: Block, glen: 5, npes: 2}
+	g := newGeometry(Block, 5, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

@@ -154,6 +154,37 @@ func TestWatchdogDetectsPartitionStall(t *testing.T) {
 	}
 }
 
+// Starvation needs parked workers beside queued tasks AND a pool that
+// executed nothing since the previous tick, on consecutive ticks: a woken
+// worker that is not running yet reads as parked while its pool still
+// makes progress.
+func TestStarvationNeedsStalledPool(t *testing.T) {
+	type tick struct {
+		starved  bool
+		executed uint64
+	}
+	cases := []struct {
+		name  string
+		ticks []tick
+		want  []int
+	}{
+		{"progress while starved", []tick{{true, 14178}, {true, 15224}, {true, 16001}}, []int{0, 0, 0}},
+		{"stalled", []tick{{true, 10}, {true, 10}, {true, 10}}, []int{0, 1, 2}},
+		{"stall then progress", []tick{{true, 5}, {true, 5}, {true, 5}, {true, 6}, {true, 6}}, []int{0, 1, 2, 0, 1}},
+		{"not starved", []tick{{false, 7}, {false, 7}}, []int{0, 0}},
+	}
+	for _, c := range cases {
+		n, last := 0, uint64(0)
+		for k, tk := range c.ticks {
+			n = starvationTicks(n, tk.starved, tk.executed, last)
+			last = tk.executed
+			if n != c.want[k] {
+				t.Errorf("%s: tick %d counts %d starved ticks, want %d", c.name, k, n, c.want[k])
+			}
+		}
+	}
+}
+
 // The always-on flight recorder must fill its round-trip and batch-age
 // digests with NO telemetry session: the watchdog and diag dumps read
 // them in every run.

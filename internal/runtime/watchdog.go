@@ -18,7 +18,8 @@ import (
 //   - WaitAll windows where the completion counter has stopped moving,
 //   - collectives where some team member never arrived,
 //   - scheduler starvation (parked workers alongside a non-empty
-//     injector, sustained across consecutive ticks), and
+//     injector and no task executed, sustained across consecutive
+//     ticks), and
 //   - a monotonically growing unacked reliable-wire backlog (the
 //     signature of a partitioned or severely degraded link).
 //
@@ -36,6 +37,7 @@ type watchdog struct {
 	warned [][telemetry.NumHealthKinds]uint64 // diag rate limiting; sampler-only
 
 	lastCompleted []uint64 // WaitAll progress detection
+	lastExecuted  []uint64 // scheduler progress, for starvation
 	starvedTicks  []int
 	lastBacklog   []int
 	backlogGrow   []int
@@ -50,6 +52,7 @@ func newWatchdog(env *worldEnv, interval time.Duration, factor int) *watchdog {
 		counts:        make([][telemetry.NumHealthKinds]atomic.Uint64, n),
 		warned:        make([][telemetry.NumHealthKinds]uint64, n),
 		lastCompleted: make([]uint64, n),
+		lastExecuted:  make([]uint64, n),
 		starvedTicks:  make([]int, n),
 		lastBacklog:   make([]int, n),
 		backlogGrow:   make([]int, n),
@@ -116,17 +119,14 @@ func (d *watchdog) sample() {
 		}
 		d.lastCompleted[pe] = comp
 
-		// Scheduler starvation, sustained across two consecutive ticks
-		// (a single observation races benignly with parking).
-		if w.pool.Starved() {
-			d.starvedTicks[pe]++
-			if d.starvedTicks[pe] >= 2 {
-				d.flag(pe, telemetry.HealthStarvation, int64(d.starvedTicks[pe]),
-					"PE%d: workers parked with runnable tasks for %d ticks",
-					pe, d.starvedTicks[pe])
-			}
-		} else {
-			d.starvedTicks[pe] = 0
+		// Scheduler starvation, sustained across two consecutive ticks.
+		exec, _, _, _ := w.pool.Stats()
+		d.starvedTicks[pe] = starvationTicks(d.starvedTicks[pe], w.pool.Starved(), exec, d.lastExecuted[pe])
+		d.lastExecuted[pe] = exec
+		if d.starvedTicks[pe] >= 2 {
+			d.flag(pe, telemetry.HealthStarvation, int64(d.starvedTicks[pe]),
+				"PE%d: workers parked with runnable tasks for %d ticks",
+				pe, d.starvedTicks[pe])
 		}
 
 		// Unacked wire backlog: sampled into the recorder every tick.
@@ -151,6 +151,19 @@ func (d *watchdog) sample() {
 		}
 	}
 	d.sampleCollectives(now)
+}
+
+// starvationTicks advances a PE's count of consecutive starved ticks. A
+// tick is starved when the pool reports parked workers beside queued
+// tasks and executed no task since the previous tick: a worker that was
+// woken but is not running yet also reads as parked, so on a host with
+// few CPUs Starved alone is true through busy epochs whose tasks still
+// run.
+func starvationTicks(prev int, starved bool, executed, lastExecuted uint64) int {
+	if starved && executed == lastExecuted {
+		return prev + 1
+	}
+	return 0
 }
 
 // sampleCollectives flags collective rendezvous entries whose first

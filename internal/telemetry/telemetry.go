@@ -161,7 +161,7 @@ const (
 	// stragglers beyond the stall threshold.
 	HealthCollectiveStall
 	// HealthStarvation: workers are parked while the injector holds
-	// runnable tasks.
+	// runnable tasks, and no task executed since the previous tick.
 	HealthStarvation
 	// HealthBacklogGrowth: the unacked wire backlog grew monotonically
 	// over several watchdog ticks.
