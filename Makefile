@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race check bench agg-bench bench-sched bench-wire bench-kv wire-smoke kv-smoke sched-stress trace-smoke watchdog-smoke fault-stress bench-allocs taskbench-smoke bench-taskbench bench-gate bench-gate-run bench-baseline benchmark-test fuzz-smoke lint
+.PHONY: build vet test race check bench agg-bench bench-sched wire-smoke kv-smoke sched-stress trace-smoke watchdog-smoke fault-stress bench-allocs taskbench-smoke bench-taskbench bench-gate bench-gate-run bench-baseline benchmark-test fuzz-smoke lint
 
 build:
 	$(GO) build ./...
@@ -103,7 +103,9 @@ bench:
 
 # --- Benchmark regression gate (ISSUE 9) -------------------------------
 # A pinned-iteration subset of the benchmark suite, run with -benchtime=Nx
-# and -count=5 so medians are comparable across runs, written to
+# and -count=5 so medians are comparable across runs, and -cpu 1 so
+# every run matches the baseline's GOMAXPROCS (the comparator rejects a
+# -N suffix that differs from the baseline's), written to
 # $(BENCH_GATE_OUT) and diffed against the committed bench_baseline.txt
 # by the Go comparator (cmd/lamellar-bench gate). >15% adjusted median
 # ns/op regression or ANY allocs/op increase fails. GateCalibrate is the
@@ -114,9 +116,9 @@ bench:
 # false-positive an any-increase ratchet.
 BENCH_GATE_OUT ?= /tmp/bench-gate-new.txt
 bench-gate-run:
-	$(GO) test -run xxx -bench 'BenchmarkAtomicOpsAggregated$$' -benchtime=120x -benchmem -count=5 . > $(BENCH_GATE_OUT)
-	$(GO) test -run xxx -bench 'InjectorPop' -benchtime=200000x -count=5 ./internal/scheduler >> $(BENCH_GATE_OUT)
-	$(GO) test -run xxx -bench 'BenchmarkGateCalibrate$$|BenchmarkTaskBenchCellStencil$$' -benchtime=5x -count=5 ./internal/bench >> $(BENCH_GATE_OUT)
+	$(GO) test -cpu 1 -run xxx -bench 'BenchmarkAtomicOpsAggregated$$' -benchtime=120x -benchmem -count=5 . > $(BENCH_GATE_OUT)
+	$(GO) test -cpu 1 -run xxx -bench 'InjectorPop' -benchtime=200000x -count=5 ./internal/scheduler >> $(BENCH_GATE_OUT)
+	$(GO) test -cpu 1 -run xxx -bench 'BenchmarkGateCalibrate$$|BenchmarkTaskBenchCellStencil$$' -benchtime=5x -count=5 ./internal/bench >> $(BENCH_GATE_OUT)
 
 bench-gate: bench-gate-run
 	$(GO) run ./cmd/lamellar-bench gate -baseline bench_baseline.txt -new $(BENCH_GATE_OUT)
@@ -142,28 +144,17 @@ bench-sched:
 	$(GO) test -run xxx -bench 'Sched' -benchtime=1000000x -benchmem -count=1 .
 	$(GO) test -run xxx -bench 'Injector' -benchtime=1000000x -count=1 ./internal/scheduler
 
-# Wire flow-control benchmark (bench_results.txt §WIRE): sustained AM
-# throughput over the reliable wire on clean and adversarial fabrics
-# (5% drop / drop+dup+reorder / 10% reorder), with the retransmitted
-# share of all transmissions. The fabrics are explicit seeded plans
-# inside the benchmark, so no FAULT_ENV here.
-bench-wire:
-	$(GO) run ./cmd/lamellar-bench wire
-
-# KV serving benchmark (bench_results.txt §KV): open-loop Zipfian mix
-# against the sharded store on clean / 5% faulted / partition-and-heal
-# fabrics, coordinated-omission-safe p50/p99/p999 plus achieved-vs-
-# offered throughput.
-bench-kv:
-	$(GO) run ./cmd/lamellar-bench kv
-
-# Fast wire gate for check: a short run across all four fabrics (the
-# benchmark's own seeded fault plans — clean, 5% drop, drop+dup+reorder,
-# 10% reorder) proves the AM surface sustains throughput on a damaged
-# fabric; it fails loudly if delivery wedges (WaitAll never returns and
-# the run hangs) without the full benchmark's duration.
+# Wire smoke: 1 KiB AMs streamed over the reliable wire on a clean
+# fabric and three seeded faulted ones (5% drop; 5% drop+dup+reorder;
+# 10% reorder) must each execute exactly once, balance the sender's
+# issued/completed ledger, and finish before the test's deadline instead
+# of hanging. Grep for the PASS marker so a skip or rename fails loudly.
 wire-smoke:
-	$(GO) run ./cmd/lamellar-bench wire -quick
+	$(GO) test -race -count=1 -run TestWireSmokeSeededPlans -v ./internal/runtime | tee /tmp/wire-smoke.out
+	@grep -q -- '--- PASS: TestWireSmokeSeededPlans' /tmp/wire-smoke.out || \
+		{ echo "check: TestWireSmokeSeededPlans did not run/pass" >&2; exit 1; }
+
+# Trace smoke: one lamellar-trace run with -timeline/-metrics must fail
 # unless the written file is valid Chrome trace JSON with a complete
 # causal-flow graph (lamellar-trace re-parses and validates it, rejecting
 # dangling flow references). The timeline must actually contain flow

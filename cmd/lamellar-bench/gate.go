@@ -23,18 +23,22 @@ import (
 //   - a baseline benchmark missing from the new run (a silent rename
 //     would otherwise un-gate it).
 //
+// A benchmark that ran at a different GOMAXPROCS in the new run than in
+// the baseline is an error, not a comparison: its times do not compare.
+//
 // Usage: lamellar-bench gate -baseline bench_baseline.txt -new out.txt
 
 // benchSample is one `BenchmarkX ... ns/op ...` line.
 type benchSample struct {
+	procs   int // GOMAXPROCS, from the name's -N suffix (none means 1)
 	ns      float64
 	allocs  float64
 	haveMem bool
 }
 
 // parseBenchOutput extracts samples from `go test -bench` output,
-// keyed by benchmark name with any trailing -GOMAXPROCS suffix stripped
-// (the suffix varies across hosts and would break baseline matching).
+// keyed by benchmark name with any trailing -GOMAXPROCS suffix split off
+// into the sample's procs.
 //
 // Concatenated runs are detected via the `goos:` header `go test` prints
 // once per invocation: repeated samples of one benchmark *within* a
@@ -57,8 +61,8 @@ func parseBenchOutput(r io.Reader) (map[string][]benchSample, error) {
 		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
 			continue
 		}
-		name := stripProcSuffix(f[0])
-		var s benchSample
+		name, procs := splitProcSuffix(f[0])
+		s := benchSample{procs: procs}
 		ok := false
 		for i := 2; i+1 < len(f); i += 2 {
 			v, err := strconv.ParseFloat(f[i], 64)
@@ -86,14 +90,37 @@ func parseBenchOutput(r io.Reader) (map[string][]benchSample, error) {
 	return out, sc.Err()
 }
 
-// stripProcSuffix removes a trailing "-N" GOMAXPROCS marker.
-func stripProcSuffix(name string) string {
+// splitProcSuffix splits a trailing "-N" GOMAXPROCS marker off name;
+// go test prints none at GOMAXPROCS=1.
+func splitProcSuffix(name string) (string, int) {
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			return name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i], n
 		}
 	}
-	return name
+	return name, 1
+}
+
+// checkProcs returns an error naming the first benchmark (by name) whose
+// new samples ran at a different GOMAXPROCS than its baseline samples.
+func checkProcs(base, cand map[string][]benchSample) error {
+	names := make([]string, 0, len(base))
+	for n := range base {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		want := base[n][0].procs
+		for _, run := range [][]benchSample{base[n], cand[n]} {
+			for _, s := range run {
+				if s.procs != want {
+					return fmt.Errorf("%s: ran at GOMAXPROCS %d, baseline at %d; re-run with -cpu %d",
+						n, s.procs, want, want)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 func median(xs []float64) float64 {
@@ -235,6 +262,10 @@ func runGate(args []string) int {
 	}
 	if len(base) == 0 {
 		fmt.Fprintf(os.Stderr, "gate: no benchmarks in baseline %s\n", *baseline)
+		return 2
+	}
+	if err := checkProcs(base, cand); err != nil {
+		fmt.Fprintln(os.Stderr, "gate:", err)
 		return 2
 	}
 	failures := compareBench(base, cand, *maxRegress, os.Stdout)

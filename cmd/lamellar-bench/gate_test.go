@@ -137,6 +137,26 @@ func TestGateMissingBenchmark(t *testing.T) {
 	}
 }
 
+// A new run at another GOMAXPROCS than the baseline is an error, not a
+// comparison; matching suffixes (or none on both sides) pass.
+func TestGateRejectsProcsMismatch(t *testing.T) {
+	base := mustParse(t, gateBaseText)
+	if err := checkProcs(base, mustParse(t, gateBaseText)); err != nil {
+		t.Fatalf("same GOMAXPROCS rejected: %v", err)
+	}
+	cand := mustParse(t, strings.ReplaceAll(gateBaseText, "Aggregated-4", "Aggregated-2"))
+	err := checkProcs(base, cand)
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkAtomicOpsAggregated") ||
+		!strings.Contains(err.Error(), "GOMAXPROCS 2, baseline at 4") {
+		t.Errorf("GOMAXPROCS 4 -> 2 not reported: %v", err)
+	}
+	// No suffix means GOMAXPROCS 1.
+	cand = mustParse(t, strings.ReplaceAll(gateBaseText, "BenchmarkInjectorPop_backlog100 ", "BenchmarkInjectorPop_backlog100-2 "))
+	if err := checkProcs(base, cand); err == nil || !strings.Contains(err.Error(), "baseline at 1") {
+		t.Errorf("GOMAXPROCS 1 -> 2 not reported: %v", err)
+	}
+}
+
 func keys(m map[string][]benchSample) []string {
 	var out []string
 	for k := range m {

@@ -10,8 +10,6 @@
 //	lamellar-bench ablate-agg    aggregation-threshold sweep (§IV-A remark)
 //	lamellar-bench ablate-batch  array sub-batch size sweep (§IV-B remark)
 //	lamellar-bench ablate-pes    PEs vs workers-per-PE tradeoff (§IV-B)
-//	lamellar-bench wire          reliable-wire AM throughput, clean vs faulted fabrics
-//	lamellar-bench kv            sharded KV serving SLOs, clean/faulted/partition (ISSUE 10)
 //	lamellar-bench taskbench     Task Bench dependency-pattern matrix (ISSUE 9)
 //	lamellar-bench gate          benchmark-regression comparator (make bench-gate)
 //	lamellar-bench all           everything above
@@ -30,7 +28,6 @@ import (
 
 	"repro/internal/bale/kernels"
 	"repro/internal/bench"
-	"repro/internal/kv"
 )
 
 func main() {
@@ -47,14 +44,6 @@ func main() {
 		seed     = fs.Int64("seed", 0xBA1E, "workload seed")
 		csv      = fs.Bool("csv", false, "also emit CSV")
 		quick    = fs.Bool("quick", false, "tiny workloads for a fast smoke run")
-		retryMS  = fs.Int("retry_ms", 0, "wire bench: initial retransmission timeout override in ms")
-	)
-	var (
-		kvKeys    = fs.Int("kv-keys", 0, "kv: keys in the store (default 4096)")
-		kvReqs    = fs.Int("kv-reqs", 0, "kv: requests per driving PE (default 6000)")
-		kvRate    = fs.Float64("kv-rate", 0, "kv: per-PE offered load in req/s (default 4000)")
-		kvSkew    = fs.Float64("kv-skew", 0, "kv: Zipf exponent (default 0.99)")
-		kvBackend = fs.String("kv-backend", "", "kv: shard backend, atomic or locallock (default atomic)")
 	)
 	var (
 		tbWidth    = fs.Int("tb-width", 0, "taskbench: tasks per timestep (default 256)")
@@ -126,32 +115,6 @@ func main() {
 			return bench.RunFig2Get(f2, os.Stdout)
 		case "fig2-agg":
 			return bench.RunFig2Agg(f2, os.Stdout)
-		case "wire":
-			wcfg := bench.WireConfig{CSV: *csv, RetryMS: *retryMS}
-			if *quick {
-				wcfg.AMs = 2000
-				wcfg.Reps = 2
-			}
-			return bench.RunWire(wcfg, os.Stdout)
-		case "kv":
-			backend, err := kv.ParseBackend(*kvBackend)
-			if err != nil {
-				return err
-			}
-			kcfg := bench.KVConfig{
-				Keys:     *kvKeys,
-				Requests: *kvReqs,
-				Rate:     *kvRate,
-				Skew:     *kvSkew,
-				Backend:  backend,
-				Workers:  *workers,
-				CSV:      *csv,
-			}
-			if *quick {
-				kcfg.Requests = 1500
-				kcfg.Keys = 1024
-			}
-			return bench.RunKV(kcfg, os.Stdout)
 		case "taskbench":
 			pats, err := bench.ParsePatterns(*tbPatterns)
 			if err != nil {
@@ -246,6 +209,6 @@ func parseStrs(s string) []string {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: lamellar-bench <fig2|fig2-get|fig2-agg|fig3|fig4|fig5|ablate-agg|ablate-batch|ablate-pes|ablate-rack|wire|kv|taskbench|gate|all> [flags]
+	fmt.Fprintln(os.Stderr, `usage: lamellar-bench <fig2|fig2-get|fig2-agg|fig3|fig4|fig5|ablate-agg|ablate-batch|ablate-pes|ablate-rack|taskbench|gate|all> [flags]
 run "lamellar-bench fig3 -h" for flags; "lamellar-bench gate -h" for the gate's own flags`)
 }

@@ -687,26 +687,25 @@ func (c *core[T]) singleOp(op Op, fetch bool, idx int, val, casOld T) *scheduler
 	needOut := fetch || op == OpLoad || op == OpSwap || op == OpCAS
 	g := c.agg()
 	rank, local := c.st.geom.place(c.globalIndex(idx))
+	vbuf, cbuf := [1]T{val}, [1]T{casOld}
+	var evals, ecas []T
+	if op != OpLoad {
+		evals = vbuf[:]
+	}
+	if op == OpCAS {
+		ecas = cbuf[:]
+	}
+	owner := g.team.WorldPE(rank) == c.w.MyPE()
 	if !needOut {
 		// Fire-and-forget scalar op: no per-op future at all. The shared
 		// condition future (done ⇔ no buffered or in-flight ops) is the
 		// return value, so the steady-state aggregated add/store path
 		// allocates nothing.
-		if g.team.WorldPE(rank) == c.w.MyPE() {
-			vbuf := [1]T{val}
-			var evals []T
-			if op != OpLoad {
-				evals = vbuf[:]
-			}
+		if owner {
 			if err := c.st.applyAggRun(c.w.MyPE(), rank, op, local, 1, evals, nil, nil); err != nil {
 				return scheduler.Fail[[]T](err)
 			}
 		} else {
-			vbuf := [1]T{val}
-			var evals []T
-			if op != OpLoad {
-				evals = vbuf[:]
-			}
 			g.append(rank, op, local, 1, evals, nil, nil, nil, false)
 		}
 		return g.sharedF
@@ -715,28 +714,10 @@ func (c *core[T]) singleOp(op Op, fetch bool, idx int, val, casOld T) *scheduler
 	valueFn := func() []T { return out }
 	cd, future := scheduler.NewCountdown(c.w.Pool(), 1, valueFn)
 	future.SetAwaitHook(g.flushFn)
-	if g.team.WorldPE(rank) == c.w.MyPE() {
-		// Owner-local: apply immediately, no buffering. The operand
-		// buffers are scoped to this branch so the remote path's copies
-		// stay stack-allocated (nativeRun's any-conversions leak these).
-		vbuf, cbuf := [1]T{val}, [1]T{casOld}
-		var evals, ecas []T
-		if op != OpLoad {
-			evals = vbuf[:]
-		}
-		if op == OpCAS {
-			ecas = cbuf[:]
-		}
+	if owner {
+		// Owner-local: apply immediately, no buffering.
 		cd.Done(c.st.applyAggRun(c.w.MyPE(), rank, op, local, 1, evals, ecas, out))
 	} else {
-		vbuf, cbuf := [1]T{val}, [1]T{casOld}
-		var evals, ecas []T
-		if op != OpLoad {
-			evals = vbuf[:]
-		}
-		if op == OpCAS {
-			ecas = cbuf[:]
-		}
 		g.append(rank, op, local, 1, evals, ecas, out, cd, false)
 		cd.Done(nil) // release the submission reservation
 	}
@@ -1200,17 +1181,14 @@ func asU64[T serde.Number](s []T) []uint64 {
 	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
 }
 
-// nativeRun is the native-atomic run kernel. The monomorphic fast paths
-// matter: a per-element any-based type switch would dominate the
-// aggregated path's CPU cost.
+// nativeRun is the native-atomic run kernel. The monomorphic fast path
+// matters: a per-element any-based type switch would dominate the
+// aggregated path's CPU cost. int64 shares the uint64 loop, whose
+// two's-complement add, store and load are bit-identical.
 func nativeRun[T serde.Number](op Op, seg, evals, ecas, eout []T) {
-	switch sg := any(seg).(type) {
-	case []uint64:
-		if nativeRunU64(op, sg, any(evals).([]uint64), any(eout).([]uint64)) {
-			return
-		}
-	case []int64:
-		if nativeRunI64(op, sg, any(evals).([]int64), any(eout).([]int64)) {
+	switch any(seg).(type) {
+	case []uint64, []int64:
+		if nativeRunU64(op, asU64(seg), asU64(evals), asU64(eout)) {
 			return
 		}
 	}
@@ -1283,67 +1261,6 @@ func nativeRunU64(op Op, seg, vals, out []uint64) bool {
 	case OpLoad:
 		for i := range seg {
 			out[i] = atomic.LoadUint64(&seg[i])
-		}
-	default:
-		return false
-	}
-	return true
-}
-
-func nativeRunI64(op Op, seg, vals, out []int64) bool {
-	switch op {
-	case OpStore:
-		if out != nil {
-			return false
-		}
-		if !raceDetectorEnabled {
-			// See nativeRunU64: plain word stores are untorn, so bulk
-			// copy preserves per-element atomicity.
-			if len(vals) == 1 {
-				v := vals[0]
-				for i := range seg {
-					seg[i] = v
-				}
-			} else {
-				copy(seg, vals)
-			}
-			return true
-		}
-		if len(vals) == 1 {
-			v := vals[0]
-			for i := range seg {
-				atomic.StoreInt64(&seg[i], v)
-			}
-		} else {
-			for i := range seg {
-				atomic.StoreInt64(&seg[i], vals[i])
-			}
-		}
-	case OpAdd:
-		if out != nil {
-			if len(vals) == 1 {
-				v := vals[0]
-				for i := range seg {
-					out[i] = atomic.AddInt64(&seg[i], v) - v
-				}
-			} else {
-				for i := range seg {
-					out[i] = atomic.AddInt64(&seg[i], vals[i]) - vals[i]
-				}
-			}
-		} else if len(vals) == 1 {
-			v := vals[0]
-			for i := range seg {
-				atomic.AddInt64(&seg[i], v)
-			}
-		} else {
-			for i := range seg {
-				atomic.AddInt64(&seg[i], vals[i])
-			}
-		}
-	case OpLoad:
-		for i := range seg {
-			out[i] = atomic.LoadInt64(&seg[i])
 		}
 	default:
 		return false

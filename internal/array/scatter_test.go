@@ -172,6 +172,9 @@ func TestScatterMatchesSequentialModel(t *testing.T) {
 				at := NewAtomicArray[uint64](w.Team(), glen, dist)
 				checkScatterModel(t, w, at.c, true)
 				at.Drop()
+				ai := NewAtomicArray[int64](w.Team(), glen, dist)
+				checkScatterModel(t, w, ai.c, true)
+				ai.Drop()
 				fl := NewAtomicArray[float64](w.Team(), glen, dist)
 				checkScatterModel(t, w, fl.c, true)
 				fl.Drop()

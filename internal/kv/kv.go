@@ -31,17 +31,6 @@ func (b Backend) String() string {
 	}
 }
 
-// ParseBackend maps a flag spelling to a Backend.
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "", "atomic":
-		return BackendAtomic, nil
-	case "locallock", "local-lock":
-		return BackendLocalLock, nil
-	}
-	return 0, fmt.Errorf("kv: unknown backend %q (want atomic or locallock)", s)
-}
-
 // Store is a distributed key-value service over a fixed keyspace
 // [0, keys): key k lives on the PE that owns array index k under the
 // block distribution, so routing is the array layer's existing index→PE

@@ -94,14 +94,7 @@ type ClassResult struct {
 // Result is one driving PE's workload outcome plus its update ledger.
 type Result struct {
 	Classes [NumOpClasses]ClassResult
-	// Hists are the raw per-class latency histograms (successes only) so
-	// callers can Merge distributions across PEs before taking quantiles
-	// — Classes[c].Latency is this PE's digest of the same data.
-	Hists   [NumOpClasses]*telemetry.Histogram
 	Elapsed time.Duration
-	// Offered is the configured rate (0 = unthrottled); Achieved is
-	// completed requests (success or error) per second of wall time.
-	Offered, Achieved float64
 	// Errors counts failed ops across classes — each is an SLO violation.
 	Errors uint64
 
@@ -183,15 +176,13 @@ func (w Workload) run(keys int, issue issuer) *Result {
 	}
 
 	res := &Result{
-		Offered:   w.Rate,
 		Counters:  counters,
 		AddIssued: make([]uint64, counters),
 		AddDone:   make([]uint64, counters),
 		PutIssued: make([]uint32, registers),
 	}
-	for c := range res.Hists {
-		res.Hists[c] = new(telemetry.Histogram)
-	}
+	// Per-class latency of successful ops; Classes[c].Latency digests them.
+	var hists [NumOpClasses]telemetry.Histogram
 	var mu sync.Mutex // guards res.Classes counters and AddDone
 
 	var interval time.Duration
@@ -252,7 +243,7 @@ func (w Workload) run(keys int, issue issuer) *Result {
 				res.Classes[cls].Errors++
 				res.Errors++
 			} else {
-				res.Hists[cls].Record(int64(lat))
+				hists[cls].Record(int64(lat))
 				if cls == OpFetchAdd {
 					res.AddDone[k]++
 				}
@@ -264,13 +255,8 @@ func (w Workload) run(keys int, issue issuer) *Result {
 	}
 	wg.Wait()
 	res.Elapsed = time.Since(start)
-	var completed uint64
 	for c := range res.Classes {
-		res.Classes[c].Latency = res.Hists[c].Summary()
-		completed += res.Classes[c].Completed
-	}
-	if res.Elapsed > 0 {
-		res.Achieved = float64(completed) / res.Elapsed.Seconds()
+		res.Classes[c].Latency = hists[c].Summary()
 	}
 	return res
 }

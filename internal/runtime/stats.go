@@ -41,7 +41,7 @@ type Stats struct {
 	// AggBatchesFlushed / AggOpsCoalesced surface the array-op
 	// aggregation layer: element-op buffers dispatched and the ops
 	// coalesced into them; AggFlushReasons splits the buffers by
-	// telemetry.FlushReason (size, ops, drain, run).
+	// telemetry.FlushReason (size, ops, drain).
 	AggBatchesFlushed uint64
 	AggOpsCoalesced   uint64
 	AggFlushReasons   [telemetry.NumFlushReasons]uint64
@@ -144,7 +144,7 @@ func (s Stats) String() string {
 //	LAMELLAR_THREADS     workers per PE
 //	LAMELLAR_AGG_SIZE    aggregation buffer threshold in bytes
 //	LAMELLAR_OP_BATCH    array element-op frame op cap (ArrayBatchSize)
-//	LAMELLAR_LAMELLAE    sim | shmem | smp
+//	LAMELLAR_LAMELLAE    sim | shmem | smp | tcp
 //	LAMELLAR_RING_SLOTS  descriptor ring depth (sim lamellae)
 //	LAMELLAR_TRACE       1/true enables the telemetry subsystem
 //	                     (lifecycle tracing, gauges); the latency

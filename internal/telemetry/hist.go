@@ -77,31 +77,6 @@ func (h *Histogram) Buckets() [histBuckets]uint64 {
 	return out
 }
 
-// Merge folds another histogram's observations into h, so per-PE
-// latency distributions can be combined into one digest before taking
-// quantiles (quantiles themselves do not compose; buckets do). Merge is
-// not atomic with respect to concurrent Record on o — merge quiesced
-// histograms.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil {
-		return
-	}
-	for i := range h.buckets {
-		if n := o.buckets[i].Load(); n > 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.count.Add(o.count.Load())
-	h.sum.Add(o.sum.Load())
-	m := o.max.Load()
-	for {
-		cur := h.max.Load()
-		if m <= cur || h.max.CompareAndSwap(cur, m) {
-			break
-		}
-	}
-}
-
 // Quantile returns an upper bound on the q-quantile (0 < q <= 1): the
 // upper edge of the first bucket whose cumulative count reaches q. An
 // empty histogram reports 0.
