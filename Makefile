@@ -75,11 +75,13 @@ kv-smoke:
 	@grep -q -- '--- PASS: TestKVSmokeFaultedLedgerExact' /tmp/kv-smoke.out || \
 		{ echo "check: TestKVSmokeFaultedLedgerExact did not run/pass" >&2; exit 1; }
 
-# Element-op frame decoder fuzz smoke: aggAM is the only wire format for
-# array element ops, so arbitrary bytes through its decoder and receive
-# kernel, on a small array of every kind, must never panic.
+# Decoder fuzz smoke: aggAM is the only wire format for array element
+# ops, so arbitrary bytes through its decoder and receive kernel, on a
+# small array of every kind, must never panic; nor may arbitrary bytes
+# through the receive walker's batch framing and envelope headers.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzAggAMApply -fuzztime=10s ./internal/array
+	$(GO) test -run xxx -fuzz FuzzReceiveBatch -fuzztime=10s ./internal/runtime
 
 # The repo benchmark (benchmark/) is a nested module, so the root
 # `go test ./...` does not reach its tests; run them from inside it.

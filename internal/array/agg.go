@@ -26,15 +26,16 @@ import (
 // the only receive kernel.
 //
 // The size of a call picks who owns the frames. Scalar ops and calls of
-// fewer than Config.ArrayBatchSize indices share one locked frame per
-// destination, which flushes on every World flush cycle (WaitAll,
-// Barrier, BlockOn, the background flusher — wired via
-// World.RegisterFlushHook), when a caller awaits a buffered op's future
-// (via the future's await hook), and on explicit FlushBatches calls.
-// Larger calls fill private, unlocked frames that all ship before the
-// call returns. Every frame also ships once it holds
-// Config.AggThresholdBytes estimated payload bytes or
-// Config.ArrayBatchSize element ops.
+// fewer than Config.ArrayBatchSize indices share one open frame per array
+// and destination, held by the runtime's queue for that destination and
+// filled under its lock (World.AppendFrame). The frame ships with the
+// queue's batch, whatever ships it: the batch reaching
+// Config.AggThresholdBytes (AM envelopes and the frames' estimated bytes
+// together), the frame reaching Config.ArrayBatchSize element ops, or a
+// World flush (WaitAll, Barrier, BlockOn, FlushBatches, the background
+// flusher). Larger calls fill private, unlocked frames that all ship
+// before the call returns, each once it holds AggThresholdBytes estimated
+// payload bytes or ArrayBatchSize element ops.
 //
 // Ordering: a frame's run entries apply at the destination sequentially
 // in submission order, then its scatter section applies in its own
@@ -128,6 +129,11 @@ type aggBatch[T serde.Number] struct {
 	// allocates neither.
 	am     aggAM[T]
 	onDone func(any, error)
+
+	// g and rank locate a shared frame's slot in its aggregator, which
+	// SealFrame clears.
+	g    *aggregator[T]
+	rank int
 }
 
 // resolveBatch routes an aggAM's results (or error) back to every
@@ -174,11 +180,6 @@ func (g *aggregator[T]) noteErr(err error) {
 	g.errMu.Unlock()
 }
 
-type aggShard[T serde.Number] struct {
-	mu sync.Mutex
-	b  *aggBatch[T]
-}
-
 // aggregator is one PE's aggregation state for one array: a shared frame
 // per destination team rank, plus a recycle pool so steady-state traffic
 // reuses frame column storage instead of reallocating it per flush.
@@ -187,19 +188,19 @@ type aggregator[T serde.Number] struct {
 	w      *runtime.World
 	team   *runtime.Team
 	elemSz int
-	// Frame thresholds: Config.AggThresholdBytes and
-	// Config.ArrayBatchSize. flushOps is also the call size from which
-	// batchOp fills private frames.
+	// Private-frame thresholds: Config.AggThresholdBytes and
+	// Config.ArrayBatchSize. flushOps is also a shared frame's op cap and
+	// the call size from which batchOp fills private frames.
 	bufSize  int
 	flushOps int
 	// scatterCap is the most scatter offsets one frame can take before a
 	// threshold ships it; private frames presize their scatter columns
 	// to it, so filling them never grows a slice.
 	scatterCap int
-	flushFn    func() // FlushBatches method value, bound once (await hooks)
-	unhook     func() // unregisters the World flush hook (last local drop)
-	shards     []aggShard[T]
-	spares     sync.Pool // *aggBatch[T]
+	// shared holds the open shared frame per destination rank; slot r is
+	// guarded by the lock of the runtime queue to rank r's PE.
+	shared []*aggBatch[T]
+	spares sync.Pool // *aggBatch[T]
 
 	// Shared completion state for fire-and-forget scalar ops: every such
 	// op bumps pending and hands the caller sharedF, a reusable condition
@@ -212,9 +213,8 @@ type aggregator[T serde.Number] struct {
 	sharedF   *scheduler.Future[[]T]
 }
 
-// agg returns this PE's aggregator for the array, creating it (and
-// registering its flush hook with the World) on first use. The lookup is
-// a lock-free load on the hot path.
+// agg returns this PE's aggregator for the array, creating it on first
+// use. The lookup is a lock-free load on the hot path.
 func (c *core[T]) agg() *aggregator[T] {
 	s := c.st
 	me := c.w.MyPE()
@@ -235,10 +235,10 @@ func (c *core[T]) agg() *aggregator[T] {
 		bufSize:    cfg.AggThresholdBytes,
 		flushOps:   cfg.ArrayBatchSize,
 		scatterCap: min(cfg.ArrayBatchSize, cfg.AggThresholdBytes/scatterEntryBytes+1),
-		shards:     make([]aggShard[T], c.team.Size()),
+		shared:     make([]*aggBatch[T], c.team.Size()),
 	}
 	g.spares.New = func() any {
-		b := new(aggBatch[T])
+		b := &aggBatch[T]{g: g}
 		b.onDone = func(v any, err error) {
 			res, _ := v.([]T)
 			g.resolveBatch(b, res, err)
@@ -246,7 +246,6 @@ func (c *core[T]) agg() *aggregator[T] {
 		}
 		return b
 	}
-	g.flushFn = g.FlushBatches
 	g.sharedF = scheduler.NewConditionFuture(c.w.Pool(), func() ([]T, error, bool) {
 		if g.pending.Load() != 0 {
 			return nil, nil, false
@@ -256,17 +255,8 @@ func (c *core[T]) agg() *aggregator[T] {
 		g.errMu.Unlock()
 		return nil, err, true
 	})
-	g.sharedF.SetAwaitHook(g.flushFn)
-	g.unhook = c.w.RegisterFlushHook(g.flushFn)
 	s.aggPtrs[me].Store(g)
 	return g
-}
-
-// flushAgg drains this PE's buffers for the array, if any exist.
-func (c *core[T]) flushAgg() {
-	if g := c.st.aggPtrs[c.w.MyPE()].Load(); g != nil {
-		g.FlushBatches()
-	}
 }
 
 // open stamps an empty frame for rank with its telemetry open time;
@@ -303,27 +293,9 @@ func (g *aggregator[T]) putBatch(b *aggBatch[T]) {
 	g.spares.Put(b)
 }
 
-// FlushBatches drains every destination's shared frame into the AM
-// queues. It runs from World flush cycles and future await hooks;
-// explicit calls are only needed to bound the latency of
-// fire-and-forget ops.
-func (g *aggregator[T]) FlushBatches() {
-	for rank := range g.shards {
-		sh := &g.shards[rank]
-		sh.mu.Lock()
-		b := sh.b
-		sh.b = nil
-		sh.mu.Unlock()
-		if b != nil && len(b.ops) > 0 {
-			g.dispatch(rank, b, telemetry.FlushDrain)
-		}
-	}
-}
-
-// dispatch ships one detached frame to its remote destination. The frame
-// is recycled once its completion resolved: the AM was serialized during
-// launch, so nothing else references its column storage afterwards.
-func (g *aggregator[T]) dispatch(rank int, b *aggBatch[T], reason telemetry.FlushReason) {
+// note counts one frame leaving for rank's PE and, with a live session,
+// emits its open→flush span.
+func (g *aggregator[T]) note(rank int, b *aggBatch[T], reason telemetry.FlushReason) {
 	g.w.CountAggFlush(reason, b.nops)
 	if tc := telemetry.C(); tc != nil && b.openNs > 0 {
 		now := tc.Now()
@@ -337,11 +309,19 @@ func (g *aggregator[T]) dispatch(rank int, b *aggBatch[T], reason telemetry.Flus
 			Arg1: int64(g.team.WorldPE(rank)), Arg2: int64(b.nops),
 		})
 	}
+}
+
+// SealFrame detaches a shared frame from its aggregator as the queue
+// holding it ships (runtime.Frame); the frame counts under that batch's
+// flush reason. Its pre-bound callback resolves the routes and recycles
+// the frame: the AM is encoded before the queue unlocks, so nothing else
+// references the column storage afterwards.
+func (b *aggBatch[T]) SealFrame(reason telemetry.FlushReason) (runtime.ActiveMessage, func(any, error)) {
+	g := b.g
+	g.shared[b.rank] = nil
+	g.note(b.rank, b, reason)
 	b.seal(g.st.id)
-	// The frame's pre-bound callback resolves routes and recycles the
-	// frame; the AM serializes synchronously during launch, so reusing
-	// b.am and the column storage afterwards is safe.
-	g.w.ExecAMCallback(g.team.WorldPE(rank), &b.am, b.onDone)
+	return &b.am, b.onDone
 }
 
 // seal points the frame's AM at its columns.
@@ -365,18 +345,24 @@ func (b *aggBatch[T]) seal(id uint64) {
 
 // ship sends a full or finished private frame to rank, or applies it
 // inline when rank is this PE: owner-local frames never touch the wire.
+// A sent frame recycles through its pre-bound callback like a shared one;
+// the AM serializes during launch.
 func (g *aggregator[T]) ship(rank int, b *aggBatch[T], reason telemetry.FlushReason) {
-	if pe := g.team.WorldPE(rank); pe == g.w.MyPE() {
+	pe := g.team.WorldPE(rank)
+	if pe == g.w.MyPE() {
 		b.seal(g.st.id)
 		res, err := g.st.applyAggBatch(pe, rank, &b.am)
 		g.resolveBatch(b, res, err)
 		g.putBatch(b)
 		return
 	}
-	g.dispatch(rank, b, reason)
+	g.note(rank, b, reason)
+	b.seal(g.st.id)
+	g.w.ExecAMCallback(pe, &b.am, b.onDone)
 }
 
-// full reports whether b reached a flush threshold, and which.
+// full reports whether private frame b reached a flush threshold, and
+// which.
 func (g *aggregator[T]) full(b *aggBatch[T]) (telemetry.FlushReason, bool) {
 	switch {
 	case b.nops >= g.flushOps:
@@ -438,8 +424,9 @@ func (b *aggBatch[T]) add(op Op, local, n int, broadcast bool,
 	b.bytes += aggEntryOverhead + nv*elemSz
 }
 
-// append buffers one run in rank's shared frame, flushing the frame if
-// it crossed a threshold. A nil cd tracks the run on the shared pending
+// append buffers one run in rank's shared frame, opening the frame in
+// the destination queue when there is none; the queue ships it on the op
+// cap or with its batch. A nil cd tracks the run on the shared pending
 // counter instead of a countdown.
 func (g *aggregator[T]) append(rank int, op Op, local, n int,
 	evals, ecas, eout []T, cd *scheduler.Countdown[[]T], broadcast bool) {
@@ -448,22 +435,19 @@ func (g *aggregator[T]) append(rank int, op Op, local, n int,
 	} else {
 		g.pending.Add(1)
 	}
-	sh := &g.shards[rank]
-	sh.mu.Lock()
-	b := sh.b
-	if b == nil {
-		b = g.open(rank, g.spares.Get().(*aggBatch[T]))
-		sh.b = b
-	}
-	b.add(op, local, n, broadcast, evals, ecas, eout, cd, g.elemSz)
-	reason, full := g.full(b)
-	if full {
-		sh.b = nil
-	}
-	sh.mu.Unlock()
-	if full {
-		g.dispatch(rank, b, reason)
-	}
+	g.w.AppendFrame(g.team.WorldPE(rank), func() (runtime.Frame, int, bool) {
+		var opened runtime.Frame
+		b := g.shared[rank]
+		if b == nil {
+			b = g.open(rank, g.spares.Get().(*aggBatch[T]))
+			b.rank = rank
+			g.shared[rank] = b
+			opened = b
+		}
+		before := b.bytes
+		b.add(op, local, n, broadcast, evals, ecas, eout, cd, g.elemSz)
+		return opened, b.bytes - before, b.nops >= g.flushOps
+	})
 }
 
 // private returns a large call's own frame for rank, opening it (with
@@ -561,10 +545,9 @@ func (g *aggregator[T]) openScatter(b *aggBatch[T], op Op, vals, out []T, broadc
 // batchOp is the element-op path behind every multi-index API method: it
 // splits idxs into maximal contiguous same-destination runs and routes
 // each to a frame. Calls of fewer than ArrayBatchSize indices apply
-// owner-local runs inline and buffer remote runs in the shared frames;
-// the returned future carries an await hook that flushes them. Larger
-// calls fill private frames, owner-local ones included, and ship them
-// all before returning; their single-element runs (all of a random
+// owner-local runs inline and buffer remote runs in the shared frames.
+// Larger calls fill private frames, owner-local ones included, and ship
+// them all before returning; their single-element runs (all of a random
 // workload) go to each frame's scatter section, except CAS and offsets
 // that do not fit a uint32. The future resolves once every run completed,
 // with previous values in input order for fetch-style ops.
@@ -593,9 +576,7 @@ func (c *core[T]) batchOp(op Op, fetch bool, idxs []int, vals, casOld []T) *sche
 	cd, future := scheduler.NewCountdown(c.w.Pool(), 1, valueFn)
 	var frames []*aggBatch[T]
 	if len(idxs) >= g.flushOps {
-		frames = make([]*aggBatch[T], len(g.shards))
-	} else {
-		future.SetAwaitHook(g.flushFn)
+		frames = make([]*aggBatch[T], len(g.shared))
 	}
 
 	me := c.w.MyPE()
@@ -713,7 +694,6 @@ func (c *core[T]) singleOp(op Op, fetch bool, idx int, val, casOld T) *scheduler
 	out := make([]T, 1)
 	valueFn := func() []T { return out }
 	cd, future := scheduler.NewCountdown(c.w.Pool(), 1, valueFn)
-	future.SetAwaitHook(g.flushFn)
 	if owner {
 		// Owner-local: apply immediately, no buffering.
 		cd.Done(c.st.applyAggRun(c.w.MyPE(), rank, op, local, 1, evals, ecas, out))

@@ -9,6 +9,7 @@ import (
 	"weak"
 
 	"repro/internal/runtime"
+	"repro/internal/serde"
 	"repro/internal/telemetry"
 )
 
@@ -153,10 +154,11 @@ func TestAggExplicitFlush(t *testing.T) {
 	}
 }
 
-func TestAggAwaitFlushes(t *testing.T) {
-	// Awaiting a buffered op's future must flush the buffers itself via
-	// the await hook — thresholds are out of reach, so without the hook
-	// this would stall until the background flusher fires.
+func TestAggAwaitResolvesBufferedOp(t *testing.T) {
+	// Awaiting a small-call op that sits in a shared frame resolves with
+	// its result. The thresholds are out of reach, so the frame ships with
+	// the next flush of its destination queue, here the background
+	// flusher's.
 	const glen = 64
 	err := runtime.Run(aggTestCfg(2), func(w *runtime.World) {
 		a := NewAtomicArray[uint64](w.Team(), glen, Block)
@@ -169,6 +171,71 @@ func TestAggAwaitFlushes(t *testing.T) {
 		} else if len(prev) != 1 {
 			t.Errorf("PE%d: got %d results, want 1", me, len(prev))
 		}
+		w.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// padAM is a no-op AM whose payload fills a destination queue.
+type padAM struct{ Pad []byte }
+
+func (a *padAM) Exec(*runtime.Context) any                { return nil }
+func (a *padAM) MarshalLamellar(e *serde.Encoder)         { e.PutBytes(a.Pad) }
+func (a *padAM) UnmarshalLamellar(d *serde.Decoder) error { a.Pad = d.Bytes(); return d.Err() }
+
+func init() { runtime.RegisterAM[padAM]("array.test.pad") }
+
+// AM envelopes and shared array frames share one byte threshold: about
+// 3 KB of AMs and then about 1.1 KB of small-call stores to the same PE
+// ship as one size-triggered batch on the store that crosses 4096 bytes,
+// although neither kind reaches the threshold alone.
+func TestAggSharedByteThreshold(t *testing.T) {
+	cfg := aggTestCfg(2)
+	cfg.AggThresholdBytes = 4096
+	const glen = 64
+	err := runtime.Run(cfg, func(w *runtime.World) {
+		a := NewAtomicArray[uint64](w.Team(), glen, Block)
+		defer a.Drop()
+		if w.MyPE() != 0 {
+			w.Barrier()
+			return
+		}
+		for attempt := 0; ; attempt++ {
+			w.WaitAll() // start from an empty queue
+			before := w.Stats()
+			for k := 0; k < 3; k++ {
+				w.ExecAM(1, &padAM{Pad: make([]byte, 1000)})
+			}
+			// Each one-index store adds a 25-byte entry estimate.
+			crossed := -1
+			for k := 0; k < 48 && crossed < 0; k++ {
+				a.BatchOpVals(OpStore, []int{glen/2 + k%(glen/2)}, []uint64{uint64(k)})
+				if w.Stats().BatchesSent != before.BatchesSent {
+					crossed = k
+				}
+			}
+			after := w.Stats()
+			if after.BatchFlushReasons[telemetry.FlushTimer] != before.BatchFlushReasons[telemetry.FlushTimer] && attempt < 2 {
+				continue // the background flusher cut the sequence; try again
+			}
+			if crossed < 0 {
+				t.Error("PE0: 3 KB of AMs and 1.2 KB of stores to PE1 never shipped on the byte threshold")
+				break
+			}
+			if d := after.BatchFlushReasons[telemetry.FlushSize] - before.BatchFlushReasons[telemetry.FlushSize]; d != 1 {
+				t.Errorf("PE0: %d size-triggered batches, want 1", d)
+			}
+			if d := after.AggBatchesFlushed - before.AggBatchesFlushed; d != 1 {
+				t.Errorf("PE0: %d array frames shipped, want 1", d)
+			}
+			if d := after.AggFlushReasons[telemetry.FlushSize] - before.AggFlushReasons[telemetry.FlushSize]; d != 1 {
+				t.Errorf("PE0: %d array frames counted on the byte threshold, want 1", d)
+			}
+			break
+		}
+		w.WaitAll()
 		w.Barrier()
 	})
 	if err != nil {
@@ -427,8 +494,9 @@ func TestAggConcurrentStress(t *testing.T) {
 }
 
 // A dropped array must become unreachable once every PE's handles are
-// gone: its aggregator's flush hook may not pin the shared state (the
-// region, per-element locks and buffers) for the world's lifetime.
+// gone: nothing the runtime keeps (a queue's open frame, a frame's return
+// callback) may pin the shared state (the region, per-element locks and
+// buffers) for the world's lifetime.
 func TestDroppedArrayIsCollected(t *testing.T) {
 	err := runtime.Run(runtime.Config{PEs: 2, WorkersPerPE: 1, Lamellae: runtime.LamellaeShmem}, func(w *runtime.World) {
 		st := dropAfterRemoteAdd(w)
@@ -455,9 +523,9 @@ func TestDroppedArrayIsCollected(t *testing.T) {
 }
 
 // dropAfterRemoteAdd builds an array, buffers one aggregated Add to a
-// remote index (which creates this PE's aggregator and its flush hook),
-// then drops the handle. Only a weak pointer to the shared state
-// escapes.
+// remote index (which creates this PE's aggregator and opens a frame in
+// the runtime queue to the other PE), then drops the handle. Only a weak
+// pointer to the shared state escapes.
 func dropAfterRemoteAdd(w *runtime.World) weak.Pointer[sharedState[uint64]] {
 	a := NewAtomicArray[uint64](w.Team(), 64, Block)
 	a.Add(remoteIdx(w.MyPE(), 64), 1)
@@ -491,12 +559,14 @@ func TestAggLargeCallShipsPrivateFrames(t *testing.T) {
 			}
 			f := a.BatchAdd(idxs, 1)
 			g := a.c.agg()
-			for r := range g.shards {
-				g.shards[r].mu.Lock()
-				if b := g.shards[r].b; b != nil && len(b.ops) > 0 {
-					t.Errorf("PE0: shared frame for rank %d holds %d entries after the call", r, len(b.ops))
-				}
-				g.shards[r].mu.Unlock()
+			for r := range g.shared {
+				// An empty append reads the slot under its queue's lock.
+				w.AppendFrame(a.c.team.WorldPE(r), func() (runtime.Frame, int, bool) {
+					if b := g.shared[r]; b != nil {
+						t.Errorf("PE0: shared frame for rank %d holds %d entries after the call", r, len(b.ops))
+					}
+					return nil, 0, false
+				})
 			}
 			if st := w.Stats(); st.AggOpsCoalesced != uint64(len(idxs)) {
 				t.Errorf("PE0: %d ops dispatched by the time the call returned, want %d", st.AggOpsCoalesced, len(idxs))

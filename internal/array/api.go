@@ -164,10 +164,12 @@ func (a *AtomicArray[T]) Get(start, n int) *scheduler.Future[[]T] {
 	return a.c.getRange(start, n)
 }
 
-// FlushBatches drains this PE's aggregation buffers for the array,
-// dispatching every buffered element op immediately instead of waiting
-// for a threshold, a future await, or the next runtime flush cycle.
-func (a *AtomicArray[T]) FlushBatches() { a.c.flushAgg() }
+// FlushBatches puts every element op this PE buffered on the wire now
+// instead of at a threshold or the next runtime flush cycle. The shared
+// frames live in the runtime's destination queues, so this is
+// World.Flush: it drains those queues whole, other arrays' frames and
+// pending AMs included.
+func (a *AtomicArray[T]) FlushBatches() { a.c.w.Flush() }
 
 // Sum launches one-sided local reductions and resolves with the total.
 func (a *AtomicArray[T]) Sum() *scheduler.Future[T] { return a.c.reduce(ReduceSum) }
@@ -303,7 +305,7 @@ func (a *LocalLockArray[T]) Sum() *scheduler.Future[T] { return a.c.reduce(Reduc
 
 // FlushBatches drains this PE's aggregation buffers for the array (see
 // AtomicArray.FlushBatches).
-func (a *LocalLockArray[T]) FlushBatches() { a.c.flushAgg() }
+func (a *LocalLockArray[T]) FlushBatches() { a.c.w.Flush() }
 
 // Min reduces to the minimum element.
 func (a *LocalLockArray[T]) Min() *scheduler.Future[T] { return a.c.reduce(ReduceMin) }
@@ -392,7 +394,7 @@ func (a *UnsafeArray[T]) Sum() *scheduler.Future[T] { return a.c.reduce(ReduceSu
 
 // FlushBatches drains this PE's aggregation buffers for the array (see
 // AtomicArray.FlushBatches).
-func (a *UnsafeArray[T]) FlushBatches() { a.c.flushAgg() }
+func (a *UnsafeArray[T]) FlushBatches() { a.c.w.Flush() }
 
 // Min reduces to the minimum element.
 func (a *UnsafeArray[T]) Min() *scheduler.Future[T] { return a.c.reduce(ReduceMin) }

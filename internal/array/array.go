@@ -217,16 +217,11 @@ func (c *core[T]) clone() *core[T] {
 // drop releases the handle's reference; the backing storage is freed when
 // every PE's handles are gone (asynchronously, via the darc protocol).
 // Array handles never travel in AMs, so once this PE's count is zero it
-// stays zero: the PE's aggregator ships what it still buffers and
-// unregisters its flush hook, which would otherwise keep the array
-// reachable for the world's lifetime.
+// stays zero: a PE that buffered ops for the array puts them on the wire.
 func (c *core[T]) drop() {
 	c.d.Drop()
-	if c.d.LocalRefs() == 0 {
-		if g := c.st.aggPtrs[c.w.MyPE()].Load(); g != nil {
-			g.FlushBatches()
-			g.unhook()
-		}
+	if c.d.LocalRefs() == 0 && c.st.aggPtrs[c.w.MyPE()].Load() != nil {
+		c.w.Flush()
 	}
 }
 

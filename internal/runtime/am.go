@@ -187,17 +187,22 @@ func (w *World) ExecAMCallback(pe int, am ActiveMessage, cb func(any, error)) {
 }
 
 func (w *World) execAMCallbackFrom(pe int, am ActiveMessage, cb func(any, error), parent telemetry.SpanContext) {
-	req := w.nextReq.Add(1)
 	sp := newSpan(parent)
-	// The issue is stamped unconditionally: resolution feeds the always-on
-	// flight recorder's round-trip digest (watchdog input), not
-	// just a live telemetry session. One monotonic clock read per
-	// return-style AM; fire-and-forget AMs pay nothing.
+	w.launchSpan(pe, am, w.registerReturn(pe, cb, sp), sp, parent)
+}
+
+// registerReturn records cb as the completion of a new request to pe and
+// returns the request ID. The issue is stamped unconditionally:
+// resolution feeds the always-on flight recorder's round-trip digest
+// (watchdog input), not just a live telemetry session. One monotonic
+// clock read per return-style AM; fire-and-forget AMs pay nothing.
+func (w *World) registerReturn(pe int, cb func(any, error), sp telemetry.SpanContext) uint64 {
+	req := w.nextReq.Add(1)
 	issueNs := telemetry.MonoNow()
 	w.retMu.Lock()
 	w.returns[req] = retEntry{cb: cb, issueNs: issueNs, span: sp, dst: int32(pe)}
 	w.retMu.Unlock()
-	w.launchSpan(pe, am, req, sp, parent)
+	return req
 }
 
 // ExecAMReturn launches am on pe and returns a future resolving with the
@@ -249,17 +254,7 @@ func ExecTyped[R any](w *World, pe int, am ActiveMessage) *scheduler.Future[R] {
 // launchSpan routes an AM to pe as span sp (child of parent). req 0
 // means no return expected.
 func (w *World) launchSpan(pe int, am ActiveMessage, req uint64, sp, parent telemetry.SpanContext) {
-	w.issued.Add(1)
-	if telemetry.Enabled() {
-		if c := telemetry.C(); c != nil {
-			c.Emit(telemetry.Event{
-				TS: c.Now(), Kind: telemetry.EvAMIssue,
-				PE: int32(w.pe), Worker: telemetry.TidRuntime,
-				Arg1: int64(pe), Arg2: int64(req),
-				Flow: sp.Span, Parent: parent.Span,
-			})
-		}
-	}
+	w.noteIssue(pe, req, sp, parent)
 	if pe == w.pe {
 		// Local fast path: no serialization, mirroring the SMP Lamellae and
 		// the local arm of exec_am_* on distributed lamellae.
@@ -275,12 +270,24 @@ func (w *World) launchSpan(pe int, am ActiveMessage, req uint64, sp, parent tele
 	w.enqueueAM(pe, req, am, sp)
 }
 
-// enqueueAM encodes an exec envelope directly into pe's aggregation
-// queue, skipping the intermediate body encoder and its extra copy —
-// significant for multi-megabyte aggregated array payloads. The length
-// prefix is fixed-width so it can be patched once the body size is known.
+// noteIssue counts one launched AM and, with a live session, emits its
+// issue event.
+func (w *World) noteIssue(pe int, req uint64, sp, parent telemetry.SpanContext) {
+	w.issued.Add(1)
+	if telemetry.Enabled() {
+		if c := telemetry.C(); c != nil {
+			c.Emit(telemetry.Event{
+				TS: c.Now(), Kind: telemetry.EvAMIssue,
+				PE: int32(w.pe), Worker: telemetry.TidRuntime,
+				Arg1: int64(pe), Arg2: int64(req),
+				Flow: sp.Span, Parent: parent.Span,
+			})
+		}
+	}
+}
+
+// enqueueAM encodes an exec envelope into pe's aggregation queue.
 func (w *World) enqueueAM(pe int, req uint64, am ActiveMessage, sp telemetry.SpanContext) {
-	w.envSent.Add(1)
 	q := w.queues[pe]
 	var tc *telemetry.Collector
 	var t0 int64
@@ -291,6 +298,19 @@ func (w *World) enqueueAM(pe int, req uint64, am ActiveMessage, sp telemetry.Spa
 	}
 	q.mu.Lock()
 	q.openLocked(t0)
+	w.putExecLocked(pe, q, req, am, sp, tc, t0)
+	w.appendedLocked(pe, q, tc)
+}
+
+// putExecLocked encodes an exec envelope for am directly into q's open
+// batch, skipping an intermediate body encoder and its extra copy —
+// significant for multi-megabyte aggregated array payloads. The length
+// prefix is fixed-width so it can be patched once the body size is known.
+// With a live session it emits the encode span starting at t0. Caller
+// holds q.mu and counts the envelope.
+func (w *World) putExecLocked(pe int, q *aggQueue, req uint64, am ActiveMessage, sp telemetry.SpanContext,
+	tc *telemetry.Collector, t0 int64) {
+	w.envSent.Add(1)
 	mark := q.enc.Len()
 	q.enc.PutU32(0) // body length, patched below
 	q.enc.Align(8)
@@ -316,14 +336,75 @@ func (w *World) enqueueAM(pe int, req uint64, am ActiveMessage, sp telemetry.Spa
 			Flow: sp.Span,
 		})
 	}
-	w.appendedLocked(pe, q, tc)
+}
+
+// Frame is a higher layer's open record in a destination queue, such as
+// the array layer's shared element-op frame. Records append to it under
+// the queue's lock (AppendFrame), and it goes on the wire as one exec
+// envelope of the batch it ships in.
+type Frame interface {
+	// SealFrame runs with the queue locked when the queue ships, whatever
+	// the reason. The frame detaches from its owner, whose next append
+	// opens a new one, and returns the AM to encode and the callback its
+	// return resolves through.
+	SealFrame(reason telemetry.FlushReason) (am ActiveMessage, cb func(any, error))
+}
+
+// AppendFrame appends one record to a higher layer's open frame for pe.
+// fill runs with pe's queue locked, so it must not block or call into the
+// World; it reports the frame it opened (nil when it appended to one the
+// queue already holds), the estimated bytes it added and whether the
+// frame reached its op cap. The queue then ships its batch: on the op cap
+// with reason FlushOps, or with FlushSize once its envelopes and open
+// frames together reach AggThresholdBytes.
+func (w *World) AppendFrame(pe int, fill func() (opened Frame, bytes int, full bool)) {
+	q := w.queues[pe]
+	var tc *telemetry.Collector
+	if telemetry.Enabled() {
+		tc = telemetry.C()
+	}
+	q.mu.Lock()
+	q.openLocked(0)
+	opened, n, full := fill()
+	if opened != nil {
+		q.frames = append(q.frames, opened)
+	}
+	q.frameBytes += n
+	switch {
+	case full:
+		w.shipLocked(pe, q, telemetry.FlushOps, tc)
+	case q.enc.Len()+q.frameBytes >= w.env.cfg.AggThresholdBytes:
+		w.shipLocked(pe, q, telemetry.FlushSize, tc)
+	default:
+		q.mu.Unlock()
+	}
+}
+
+// sealLocked encodes q's open frames into its batch as exec envelopes,
+// each registered for its return like an ExecAMCallback launch. The lock
+// order is q.mu, then retMu. Caller holds q.mu.
+func (w *World) sealLocked(dst int, q *aggQueue, reason telemetry.FlushReason, tc *telemetry.Collector) {
+	for i, f := range q.frames {
+		am, cb := f.SealFrame(reason)
+		sp := newSpan(telemetry.SpanContext{})
+		req := w.registerReturn(dst, cb, sp)
+		w.noteIssue(dst, req, sp, telemetry.SpanContext{})
+		var t0 int64
+		if tc != nil {
+			t0 = tc.Now()
+		}
+		w.putExecLocked(dst, q, req, am, sp, tc, t0)
+		q.count++
+		q.frames[i] = nil
+	}
+	q.frames, q.frameBytes = q.frames[:0], 0
 }
 
 // openLocked stamps the batch-open time when q is empty. The stamp is
 // taken even without a session (t0 == 0): the flush records batch age
 // into the always-on recorder either way. Caller holds q.mu.
 func (q *aggQueue) openLocked(t0 int64) {
-	if q.count != 0 {
+	if !q.empty() {
 		return
 	}
 	if t0 == 0 {
@@ -337,17 +418,18 @@ func (q *aggQueue) openLocked(t0 int64) {
 // threshold. Caller holds q.mu.
 func (w *World) appendedLocked(dst int, q *aggQueue, tc *telemetry.Collector) {
 	q.count++
-	if q.enc.Len() < w.env.cfg.AggThresholdBytes {
+	if q.enc.Len()+q.frameBytes < w.env.cfg.AggThresholdBytes {
 		q.mu.Unlock()
 		return
 	}
 	w.shipLocked(dst, q, telemetry.FlushSize, tc)
 }
 
-// shipLocked detaches q's open batch (swapping in the spare encoder),
-// releases q.mu, and puts the batch on the wire. Caller holds q.mu and
-// q holds at least one envelope.
+// shipLocked seals q's open frames, detaches its batch (swapping in the
+// spare encoder), releases q.mu, and puts the batch on the wire. Caller
+// holds q.mu and q is not empty.
 func (w *World) shipLocked(dst int, q *aggQueue, reason telemetry.FlushReason, tc *telemetry.Collector) {
+	w.sealLocked(dst, q, reason, tc)
 	out, envs, openNs := q.enc, q.count, q.openNs
 	q.enc = q.takeSpareLocked()
 	q.count = 0
@@ -488,38 +570,38 @@ func (w *World) noteBatchFlush(dst int, reason telemetry.FlushReason, envs int, 
 // flush drains dst's queue (and owed acks) onto the wire; reason says
 // which flush cycle triggered it (drain vs background timer).
 func (w *World) flush(dst int, reason telemetry.FlushReason) {
-	if acks := w.pendingAcks[dst].Swap(0); acks > 0 {
-		w.envSent.Add(1)
-		body := getEncoder(w)
-		body.PutU8(envAck)
-		body.PutUvarint(acks)
-		q := w.queues[dst]
-		q.mu.Lock()
-		q.openLocked(0)
-		q.enc.PutU32(uint32(body.Len()))
-		q.enc.Align(8)
-		q.enc.PutRawBytes(body.Bytes())
-		q.count++
-		q.mu.Unlock()
-		putEncoder(body)
-	}
+	w.putAcks(dst)
 	var tc *telemetry.Collector
 	if telemetry.Enabled() {
 		tc = telemetry.C()
 	}
 	q := w.queues[dst]
 	q.mu.Lock()
-	if q.count == 0 {
+	if q.empty() {
 		q.mu.Unlock()
 		return
 	}
 	w.shipLocked(dst, q, reason, tc)
 }
 
-// flushAll drains every destination queue, first letting higher layers
-// (the array-op aggregation buffers) drain into the queues.
+// putAcks enqueues one ack envelope for the AMs from dst this PE
+// completed since the last one, if any.
+func (w *World) putAcks(dst int) {
+	if acks := w.pendingAcks[dst].Swap(0); acks > 0 {
+		body := getEncoder(w)
+		body.PutU8(envAck)
+		body.PutUvarint(acks)
+		w.enqueue(dst, body.Bytes())
+		putEncoder(body)
+	}
+}
+
+// Flush puts everything this PE buffered for other PEs on the wire: every
+// destination queue's envelopes and open frames, and the acks it owes.
+func (w *World) Flush() { w.flushAll(telemetry.FlushDrain) }
+
+// flushAll drains every destination queue.
 func (w *World) flushAll(reason telemetry.FlushReason) {
-	w.runFlushHooks()
 	for dst := 0; dst < w.NumPEs(); dst++ {
 		if dst == w.pe {
 			continue
@@ -565,7 +647,7 @@ func (w *World) sampleGauges() {
 	queued := 0
 	for _, q := range w.queues {
 		q.mu.Lock()
-		queued += q.count
+		queued += q.count + len(q.frames)
 		q.mu.Unlock()
 	}
 	c.Emit(telemetry.Event{
@@ -666,10 +748,21 @@ func (rx *rxState) release() {
 
 // walk processes one delivered batch (runs as a pool task).
 func (rx *rxState) walk() {
+	tasks := rx.decode(rx.tasks[:0])
+	rx.w.pool.SubmitBatch(tasks)
+	for i := range tasks {
+		tasks[i] = nil
+	}
+	rx.tasks = tasks[:0]
+	rx.release()
+}
+
+// decode walks the batch framing: returns and acks resolve inline, and
+// each exec envelope appends its task to tasks.
+func (rx *rxState) decode(tasks []scheduler.Task) []scheduler.Task {
 	w, src := rx.w, rx.src
 	rx.dec.Reset(rx.batch)
 	dec := &rx.dec
-	tasks := rx.tasks[:0]
 	for dec.Remaining() > 0 {
 		n := dec.U32()
 		dec.Align(8)
@@ -682,12 +775,7 @@ func (rx *rxState) walk() {
 			tasks = append(tasks, t)
 		}
 	}
-	w.pool.SubmitBatch(tasks)
-	for i := range tasks {
-		tasks[i] = nil
-	}
-	rx.tasks = tasks[:0]
-	rx.release()
+	return tasks
 }
 
 // handleEnvelope dispatches one envelope: returns and acks resolve

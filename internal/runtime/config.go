@@ -47,10 +47,11 @@ type Config struct {
 	Lamellae LamellaeKind
 	// Cost is the network cost model for the sim lamellae.
 	Cost fabric.CostModel
-	// AggThresholdBytes is the byte threshold of both coalescers: a
-	// runtime destination queue ships its AM batch once it exceeds this,
-	// and an array element-op frame ships once its estimated payload
-	// reaches it. The paper's default is 100 KB.
+	// AggThresholdBytes is the byte threshold of the per-destination
+	// queues: a queue ships its batch once its AM envelopes plus the
+	// estimated payload of the array element-op frames it holds reach
+	// this, and a large array call's private frame ships once its own
+	// estimate does. The paper's default is 100 KB.
 	AggThresholdBytes int
 	// FlushInterval is the background flusher period that bounds the
 	// latency of sparse traffic.
@@ -65,7 +66,8 @@ type Config struct {
 	// ArrayBatchSize is the op cap of every array element-op frame (the
 	// BALE experiments limit aggregation to 10 000 operations) and the
 	// call size from which a batched element op fills its own private
-	// per-destination frames instead of the shared, flush-hooked ones.
+	// per-destination frames instead of the shared ones the destination
+	// queues hold.
 	ArrayBatchSize int
 	// Faults attaches a fault-injection plan to the reliable wire layer:
 	// every frame transmission between PEs consults the plan and may be

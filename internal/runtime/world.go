@@ -92,9 +92,6 @@ type World struct {
 	aggOps     atomic.Uint64
 	aggReasons [telemetry.NumFlushReasons]atomic.Uint64
 
-	flushHookMu sync.Mutex
-	flushHooks  []*func() // copy-on-remove: runFlushHooks iterates a snapshot
-
 	// waitingSince is nonzero (a MonoNow stamp) while this PE's
 	// application goroutine is blocked in WaitAll; the watchdog pairs it
 	// with a stalled completion counter to flag wait stalls.
@@ -127,55 +124,28 @@ func (w *World) CountAggFlush(reason telemetry.FlushReason, ops int) {
 	}
 }
 
-// RegisterFlushHook installs fn to run at the start of every queue flush
-// cycle (WaitAll, Barrier, BlockOn and the background flusher all flush).
-// Higher layers use it to drain their own aggregation buffers — the
-// array-op aggregation layer in particular — into the AM queues before
-// those queues go out on the wire. Hooks may run concurrently from
-// several goroutines and must tolerate having nothing to do.
-//
-// The returned function unregisters the hook, so whatever fn holds can
-// be collected once its owner is gone; a flush cycle already under way
-// may still run it once.
-func (w *World) RegisterFlushHook(fn func()) (remove func()) {
-	h := &fn
-	w.flushHookMu.Lock()
-	w.flushHooks = append(w.flushHooks, h)
-	w.flushHookMu.Unlock()
-	return func() {
-		w.flushHookMu.Lock()
-		defer w.flushHookMu.Unlock()
-		kept := make([]*func(), 0, len(w.flushHooks))
-		for _, x := range w.flushHooks {
-			if x != h {
-				kept = append(kept, x)
-			}
-		}
-		w.flushHooks = kept
-	}
-}
-
-func (w *World) runFlushHooks() {
-	w.flushHookMu.Lock()
-	hooks := w.flushHooks
-	w.flushHookMu.Unlock()
-	for _, h := range hooks {
-		(*h)()
-	}
-}
-
 // aggQueue buffers envelopes destined to one PE. Flushing swaps the active
 // encoder for the spare (the second buffer of the paper's double-buffered
 // message queue) so producers keep filling while the flushed buffer is in
 // flight; once the transport has consumed the flushed buffer it returns as
 // the new spare, so steady-state traffic allocates no batch buffers.
+//
+// The queue also holds the open frames higher layers append to under
+// q.mu (see AppendFrame). They count toward the batch's size through
+// their estimated bytes and are encoded as exec envelopes when the batch
+// ships.
 type aggQueue struct {
-	mu      sync.Mutex
-	enc     *serde.Encoder
-	scratch *serde.Encoder
-	count   int
-	openNs  int64 // telemetry stamp of the first envelope in the active buffer
+	mu         sync.Mutex
+	enc        *serde.Encoder
+	scratch    *serde.Encoder
+	count      int     // envelopes encoded into enc
+	frames     []Frame // open frames, sealed into enc when the batch ships
+	frameBytes int     // the open frames' estimated bytes
+	openNs     int64   // telemetry stamp of the first envelope in the active buffer
 }
+
+// empty reports whether the open batch holds nothing. Caller holds q.mu.
+func (q *aggQueue) empty() bool { return q.count == 0 && len(q.frames) == 0 }
 
 func newAggQueue() *aggQueue {
 	return &aggQueue{enc: serde.NewEncoder(4096), scratch: serde.NewEncoder(4096)}

@@ -21,7 +21,6 @@ type futState[T any] struct {
 	mu   sync.Mutex
 	val  T
 	err  error
-	hook func() // runs at Await entry while unresolved; see SetAwaitHook
 	then []func(T, error)
 	// poll, when non-nil, makes this a condition future: resolution is
 	// defined by the predicate instead of a one-shot completion. See
@@ -156,26 +155,6 @@ func (f *Future[T]) Done() <-chan struct{} {
 	return st.done
 }
 
-// SetAwaitHook installs fn to run each time Await is entered before the
-// future has resolved. The array aggregation layer uses it to flush the
-// buffers the awaited result depends on, so a caller blocking on a
-// buffered op never stalls until the next background flush. Map and All
-// propagate hooks to derived futures.
-func (f *Future[T]) SetAwaitHook(fn func()) {
-	st := f.st
-	st.mu.Lock()
-	st.hook = fn
-	st.mu.Unlock()
-}
-
-func (f *Future[T]) awaitHook() func() {
-	st := f.st
-	st.mu.Lock()
-	h := st.hook
-	st.mu.Unlock()
-	return h
-}
-
 // Await blocks until resolution, helping the attached pool run tasks.
 //
 // Contract (the same one Rust's block_on family carries): a task running
@@ -189,12 +168,6 @@ func (f *Future[T]) awaitHook() func() {
 func (f *Future[T]) Await() (T, error) {
 	st := f.st
 	if st.poll != nil {
-		if v, err, ok := st.poll(); ok {
-			return v, err
-		}
-		if h := f.awaitHook(); h != nil {
-			h()
-		}
 		for {
 			if v, err, ok := st.poll(); ok {
 				return v, err
@@ -206,12 +179,6 @@ func (f *Future[T]) Await() (T, error) {
 	}
 	if st.set.Load() {
 		return st.val, st.err
-	}
-	if h := f.awaitHook(); h != nil {
-		h()
-		if st.set.Load() {
-			return st.val, st.err
-		}
 	}
 	done := f.Done()
 	if st.pool == nil {
@@ -270,12 +237,8 @@ func (f *Future[T]) OnDone(cb func(T, error)) {
 }
 
 // Map derives a future by transforming the value on the completer's path.
-// The input's await hook (if any) carries over to the derived future.
 func Map[T, U any](f *Future[T], fn func(T) U) *Future[U] {
 	p, out := NewPromise[U](f.st.pool)
-	if h := f.awaitHook(); h != nil {
-		out.SetAwaitHook(h)
-	}
 	f.OnDone(func(v T, err error) {
 		if err != nil {
 			p.CompleteErr(err)
@@ -294,19 +257,6 @@ func All[T any](pool *Pool, fs []*Future[T]) *Future[[]T] {
 	if n == 0 {
 		p.Complete(nil)
 		return out
-	}
-	var hooks []func()
-	for _, f := range fs {
-		if h := f.awaitHook(); h != nil {
-			hooks = append(hooks, h)
-		}
-	}
-	if len(hooks) > 0 {
-		out.SetAwaitHook(func() {
-			for _, h := range hooks {
-				h()
-			}
-		})
 	}
 	vals := make([]T, n)
 	var firstErr atomic.Pointer[error]
